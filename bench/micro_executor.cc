@@ -54,6 +54,39 @@ Database* Db() {
       dims.push_back({Value::Int(i), Value::Str("d" + std::to_string(i))});
     }
     if (!d->BulkLoad("d", std::move(dims)).ok()) std::abort();
+    // Row-buffering legs: `li` holds four rows per order key (15,000
+    // groups under GROUP BY l_orderkey, as in TPC-H Q18's subquery), and
+    // `wide_ord` is an orders-like build side with long strings and no
+    // index on its join key, so joining it takes a hash build (Q13).
+    if (!d->ExecuteSql("CREATE TABLE li (l_id INT NOT NULL PRIMARY KEY, "
+                       "l_orderkey INT NOT NULL, l_quantity INT NOT NULL, "
+                       "l_comment VARCHAR(44) NOT NULL)")
+             .ok()) {
+      std::abort();
+    }
+    if (!d->ExecuteSql("CREATE TABLE wide_ord (w_key INT NOT NULL, "
+                       "w_cust INT NOT NULL, w_price DOUBLE NOT NULL, "
+                       "w_priority VARCHAR(15) NOT NULL, "
+                       "w_clerk VARCHAR(15) NOT NULL, "
+                       "w_comment VARCHAR(79) NOT NULL)")
+             .ok()) {
+      std::abort();
+    }
+    std::vector<Row> li;
+    for (int i = 0; i < 60000; ++i) {
+      li.push_back({Value::Int(i), Value::Int(i / 4), Value::Int(1 + i % 50),
+                    Value::Str(rng.NextString(20, 44))});
+    }
+    if (!d->BulkLoad("li", std::move(li)).ok()) std::abort();
+    std::vector<Row> wide;
+    for (int i = 0; i < 15000; ++i) {
+      wide.push_back({Value::Int(i), Value::Int(i % 1500),
+                      Value::Double(rng.NextDouble() * 1e5),
+                      Value::Str(rng.NextString(8, 15)),
+                      Value::Str(rng.NextString(15, 15)),
+                      Value::Str(rng.NextString(40, 79))});
+    }
+    if (!d->BulkLoad("wide_ord", std::move(wide)).ok()) std::abort();
     if (!d->AnalyzeAll().ok()) std::abort();
     return d;
   }();
@@ -191,8 +224,18 @@ void RunBatchVsVolcano(bool want_json) {
     OptimizerPath path;
   };
   // Q6-shaped scan+filter+aggregate (the scan-heavy pipeline), Q1-shaped
-  // grouped aggregate, and a hash-join probe into the 50K-row fact table.
+  // grouped aggregate, a hash-join probe into the 50K-row fact table, and
+  // the two row-buffering mechanisms: a Q18-shaped GROUP BY with 15K
+  // groups (one representative row each) and a Q13-shaped left join whose
+  // 15K-row build side has wide rows.
   const Leg legs[] = {
+      {"group_by_high_card",
+       "SELECT l_orderkey, SUM(l_quantity) FROM li GROUP BY l_orderkey",
+       OptimizerPath::kMySql},
+      {"hash_build_wide",
+       "SELECT COUNT(*), SUM(w.w_price) FROM li LEFT JOIN wide_ord w "
+       "ON li.l_orderkey = w.w_key",
+       OptimizerPath::kMySql},
       {"scan_filter_agg",
        "SELECT COUNT(*), SUM(v) FROM f WHERE v > 100 AND v < 900",
        OptimizerPath::kMySql},

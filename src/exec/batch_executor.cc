@@ -230,10 +230,10 @@ class BatchHashJoinProbe : public BatchOp {
     if (null_key_[i] != 0) return;
     auto [b, e] = state.table.equal_range(hashes_[i]);
     for (auto it = b; it != e; ++it) {
-      const HashJoinShared::Entry& cand = state.entries[it->second];
+      const Value* cand = state.Key(it->second);
       bool eq = true;
       for (size_t k = 0; k < keys_.size(); ++k) {
-        if (Value::Compare(cand.key[k], keys_[k][i]) != 0) {
+        if (Value::Compare(cand[k], keys_[k][i]) != 0) {
           eq = false;
           break;
         }
@@ -252,14 +252,14 @@ class BatchHashJoinProbe : public BatchOp {
     }
     while (cand_pos_ < candidates_.size()) {
       if (static_cast<int64_t>(out_.size) >= cap_) return false;
-      EmitRow(&state.entries[candidates_[cand_pos_++]]);
+      EmitRow(state.Rows(candidates_[cand_pos_++]));
     }
     return true;
   }
 
   /// Appends one output row: probe slots copied from the input batch,
-  /// build slots restored from the entry (null = NULL-extended).
-  void EmitRow(const HashJoinShared::Entry* entry) {
+  /// build slots from the entry's rows (null = NULL-extended).
+  void EmitRow(const Row* const* build_rows) {
     const uint32_t prow = in_->sel[in_pos_];
     for (int r : probe_refs_) {
       const size_t slot = static_cast<size_t>(r);
@@ -269,12 +269,9 @@ class BatchHashJoinProbe : public BatchOp {
               : (in_->base != nullptr ? (*in_->base)[slot] : nullptr);
       out_.cols[slot].push_back(rp);
     }
-    for (int r : layout_.build_refs) {
-      const size_t slot = static_cast<size_t>(r);
-      const Row* rp = entry != nullptr && entry->frame.present[slot]
-                          ? &entry->frame.rows[slot]
-                          : nullptr;
-      out_.cols[slot].push_back(rp);
+    for (size_t j = 0; j < layout_.build_refs.size(); ++j) {
+      out_.cols[static_cast<size_t>(layout_.build_refs[j])].push_back(
+          build_rows != nullptr ? build_rows[j] : nullptr);
     }
     out_.sel.push_back(static_cast<uint32_t>(out_.size));
     ++out_.size;
@@ -305,8 +302,8 @@ class BatchHashJoinProbe : public BatchOp {
 
 /// Frame->Batch adapter: drives a Volcano subtree row by row and buffers
 /// its slots into batches so everything above runs vectorized. Only valid
-/// over subtrees whose row pointers stay put while buffered (see
-/// StableRowSource). Actuals for the buffered subtree come from its own
+/// over subtrees whose row pointers stay put while buffered (no
+/// UnstableSlots). Actuals for the buffered subtree come from its own
 /// AnalyzeIter wrappers — this adapter records nothing.
 class FrameSourceBatchOp : public BatchOp {
  public:
@@ -382,30 +379,6 @@ class BatchIterAdapter : public FrameIter {
   size_t pos_ = 0;
 };
 
-/// True when every row pointer the subtree produces stays valid for a
-/// whole buffered drain. Storage-backed scans always qualify; cached
-/// derived tables do (the materialization outlives the pipeline) but
-/// correlated re-materializing ones do not; a hash join's build entries
-/// survive until its next Open — which happens mid-drain only when the
-/// join sits under a nested-loop right side (rebound per outer row).
-bool StableRowSource(const PhysOp& op, bool under_nl_right) {
-  switch (op.kind) {
-    case PhysOp::Kind::kDerivedScan:
-      return !op.invalidate_on_rebind;
-    case PhysOp::Kind::kHashJoin:
-      if (under_nl_right) return false;
-      return StableRowSource(*op.child, under_nl_right) &&
-             StableRowSource(*op.right, under_nl_right);
-    case PhysOp::Kind::kNLJoin:
-      return StableRowSource(*op.child, under_nl_right) &&
-             StableRowSource(*op.right, /*under_nl_right=*/true);
-    case PhysOp::Kind::kFilter:
-      return StableRowSource(*op.child, under_nl_right);
-    default:
-      return true;
-  }
-}
-
 /// Recursive chain builder. Strict mode (worker chains, Batch->Frame
 /// grafts) refuses any non-native operator; lax mode ends the vectorized
 /// run with a Frame->Batch source over the foreign subtree when its row
@@ -457,7 +430,10 @@ std::unique_ptr<BatchOp> BuildBatchOp(const PhysOp* op, ExecContext* ctx,
       break;
   }
   if (strict) return nullptr;
-  if (!StableRowSource(*op, /*under_nl_right=*/false)) return nullptr;
+  // The adapter keeps a batch of row pointers: the same lifetime rule as
+  // any buffering operator. Hash-join entries hold the producers' own
+  // pointers, so a join rebuilt under a nested loop invalidates none.
+  if (!UnstableSlots(*op, ctx->is_worker_shard).empty()) return nullptr;
   std::unique_ptr<FrameIter> iter =
       BuildIter(op, analyze, ctx, /*allow_batch=*/true);
   if (iter == nullptr) return nullptr;

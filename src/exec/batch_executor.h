@@ -83,8 +83,7 @@ bool HashJoinBatchNative(const PhysOp& op);
 /// Open; the topmost run of batch-native operators is vectorized and the
 /// first foreign operator below it becomes a Frame->Batch source adapter
 /// (Volcano below, batches above) — unless its buffered row pointers could
-/// dangle (correlated derived scans, hash joins re-built under a
-/// nested-loop right side), in which case root stays null.
+/// dangle (a slot UnstableSlots names), in which case root stays null.
 ///
 /// shared != nullptr (morsel worker form): strictly batch-native chains
 /// only, probing the prebuilt read-only hash states; root is null unless

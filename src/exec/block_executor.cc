@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
 #include <unordered_map>
 
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "exec/batch_executor.h"
 #include "exec/exec_internal.h"
@@ -26,6 +28,21 @@ std::vector<int> SubtreeRefs(const PhysOp& op) {
 
 void ClearSlots(Frame* frame, const std::vector<int>& refs) {
   for (int r : refs) (*frame)[static_cast<size_t>(r)] = nullptr;
+}
+
+std::vector<int> UnstableSlots(const PhysOp& op, bool worker_shard) {
+  std::vector<const PhysOp*> leaves;
+  op.CollectLeaves(&leaves);
+  std::vector<int> slots;
+  for (const PhysOp* leaf : leaves) {
+    // Every other leaf binds TableData rows, which outlive the query's
+    // operators; only derived tables materialize rows of their own.
+    if (leaf->kind == PhysOp::Kind::kDerivedScan &&
+        (leaf->invalidate_on_rebind || worker_shard)) {
+      slots.push_back(leaf->leaf->ref_id);
+    }
+  }
+  return slots;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,20 +384,33 @@ std::string SketchStreamKey(const PhysOp& side,
   return SketchSet::StreamKey(key->ref_id, key->column_idx);
 }
 
-/// Drains `build` into `out`. Buffers only the build subtree's frame slots
-/// per row, and pre-sizes the table from the optimizer's cardinality
-/// estimate to cut rehashing on large builds.
+/// Drains `build` into `out`. Keeps only the build subtree's slots per row
+/// — the producers' pointers, copying just the UnstableSlots rows — and
+/// pre-sizes the table from the optimizer's cardinality estimate to cut
+/// rehashing on large builds.
 Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
                          FrameIter* build, Frame* frame, ExecContext* ctx,
                          HashJoinShared* out) {
-  out->table.clear();
-  out->entries.clear();
   const PhysOp& build_child = layout.build_is_left ? *op.child : *op.right;
+  const size_t nk = layout.build_keys.size();
+  const size_t nr = layout.build_refs.size();
+  out->num_keys = nk;
+  out->num_refs = nr;
+  out->keys.clear();
+  out->rows.clear();
+  out->copies.clear();
+  out->table.clear();
+  std::vector<bool> copy(nr, false);  // parallel to build_refs
+  for (int s : UnstableSlots(build_child, ctx->is_worker_shard)) {
+    auto it = std::find(layout.build_refs.begin(), layout.build_refs.end(), s);
+    copy[static_cast<size_t>(it - layout.build_refs.begin())] = true;
+  }
   if (build_child.est_rows > 1.0) {
     // Cap the reservation: estimates can be wildly high after bad stats.
     size_t cap = static_cast<size_t>(
         std::min(build_child.est_rows, 16.0 * 1024 * 1024));
-    out->entries.reserve(cap);
+    out->keys.reserve(cap * nk);
+    out->rows.reserve(cap * nr);
     out->table.reserve(cap);
   }
   // Opportunistic Fast-AGMS stream over the build keys. The plan node is
@@ -393,25 +423,29 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
     if (!stream.empty()) sketch = ctx->sketches->BeginStream(stream, &op);
   }
   TAURUS_RETURN_IF_ERROR(build->Open(frame, ctx));
+  Row key(nk);
   while (true) {
     TAURUS_ASSIGN_OR_RETURN(bool has, build->Next(frame, ctx));
     if (!has) break;
-    Row key;
-    key.reserve(layout.build_keys.size());
     bool has_null = false;
-    for (const Expr* e : layout.build_keys) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, *frame, nullptr, ctx));
-      if (v.is_null()) has_null = true;
-      key.push_back(std::move(v));
+    for (size_t k = 0; k < nk; ++k) {
+      TAURUS_ASSIGN_OR_RETURN(
+          key[k], EvalExpr(*layout.build_keys[k], *frame, nullptr, ctx));
+      if (key[k].is_null()) has_null = true;
     }
     if (has_null) continue;  // NULL keys never join
     if (sketch != nullptr) sketch->Update(key[0].Hash());
-    HashJoinShared::Entry entry;
-    entry.key = std::move(key);
-    entry.frame = OwnedFrame(*frame, layout.build_refs);
-    uint64_t h = HashRow(entry.key);
-    out->table.emplace(h, out->entries.size());
-    out->entries.push_back(std::move(entry));
+    const size_t entry = out->table.size();
+    out->table.emplace(HashRow(key), entry);
+    out->keys.insert(out->keys.end(), key.begin(), key.end());
+    for (size_t j = 0; j < nr; ++j) {
+      const Row* row = (*frame)[static_cast<size_t>(layout.build_refs[j])];
+      if (row != nullptr && copy[j]) {
+        out->copies.push_front(*row);
+        row = &out->copies.front();
+      }
+      out->rows.push_back(row);
+    }
   }
   ClearSlots(frame, layout.build_refs);
   return Status::OK();
@@ -481,22 +515,22 @@ class HashJoinIter : public FrameIter {
         matched_ = false;
         candidates_.clear();
         cand_pos_ = 0;
-        Row key;
-        key.reserve(layout_.probe_keys.size());
+        Row& key = probe_key_;
+        key.resize(layout_.probe_keys.size());
         bool has_null = false;
-        for (const Expr* e : layout_.probe_keys) {
-          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, *frame, nullptr, ctx));
-          if (v.is_null()) has_null = true;
-          key.push_back(std::move(v));
+        for (size_t k = 0; k < key.size(); ++k) {
+          TAURUS_ASSIGN_OR_RETURN(
+              key[k], EvalExpr(*layout_.probe_keys[k], *frame, nullptr, ctx));
+          if (key[k].is_null()) has_null = true;
         }
         if (!has_null) {
           if (probe_sketch_ != nullptr) probe_sketch_->Update(key[0].Hash());
           auto [b, e] = state.table.equal_range(HashRow(key));
           for (auto it = b; it != e; ++it) {
-            const HashJoinShared::Entry& cand = state.entries[it->second];
+            const Value* cand = state.Key(it->second);
             bool eq = true;
             for (size_t i = 0; i < key.size(); ++i) {
-              if (Value::Compare(cand.key[i], key[i]) != 0) {
+              if (Value::Compare(cand[i], key[i]) != 0) {
                 eq = false;
                 break;
               }
@@ -506,13 +540,10 @@ class HashJoinIter : public FrameIter {
         }
       }
       while (cand_pos_ < candidates_.size()) {
-        const HashJoinShared::Entry& entry =
-            state.entries[candidates_[cand_pos_++]];
-        // Restore the build subtree's slots from the owned frame.
-        for (int r : layout_.build_refs) {
-          size_t slot = static_cast<size_t>(r);
-          (*frame)[slot] =
-              entry.frame.present[slot] ? &entry.frame.rows[slot] : nullptr;
+        // Restore the build subtree's slots from the entry.
+        const Row* const* rows = state.Rows(candidates_[cand_pos_++]);
+        for (size_t j = 0; j < layout_.build_refs.size(); ++j) {
+          (*frame)[static_cast<size_t>(layout_.build_refs[j])] = rows[j];
         }
         TAURUS_ASSIGN_OR_RETURN(bool ok,
                                 EvalConjuncts(op_->conds, *frame, nullptr, ctx));
@@ -550,6 +581,7 @@ class HashJoinIter : public FrameIter {
 
   bool have_probe_ = false;
   bool matched_ = false;
+  Row probe_key_;  ///< reused per probe row
   std::vector<size_t> candidates_;
   size_t cand_pos_ = 0;
 };
@@ -664,72 +696,83 @@ namespace {
 /// One aggregate accumulator (SUM/COUNT/AVG/MIN/MAX/STDDEV, with DISTINCT).
 /// Fully mergeable: two partial states over disjoint row sets combine into
 /// the state of the union (DISTINCT via set union, STDDEV via sum/sumsq),
-/// which is what lets the parallel executor aggregate per morsel.
+/// which is what lets the parallel executor aggregate per morsel. A value
+/// folds only into the fields its own function reads.
 struct Accum {
   int64_t count = 0;
-  int64_t isum = 0;
-  double sum = 0.0;
-  double sumsq = 0.0;
+  int64_t isum = 0;    ///< SUM over integers
+  double sum = 0.0;    ///< SUM / AVG / STDDEV
+  double sumsq = 0.0;  ///< STDDEV
   bool int_only = true;
-  Value min_v, max_v;
+  Value extreme;       ///< MIN / MAX
   std::set<Value> distinct;
 
+  /// COUNT(*): every input row counts, NULL or not.
+  void CountRow() { ++count; }
+
+  /// Every other aggregate: folds one argument value; NULLs are skipped.
   void Update(const Expr& agg, const Value& v) {
-    if (agg.agg_func == AggFunc::kCountStar) {
-      ++count;
-      return;
-    }
     if (v.is_null()) return;
     if (agg.agg_distinct) {
       distinct.insert(v);
       return;
     }
-    Add(v);
+    Add(agg.agg_func, v);
   }
 
-  void Add(const Value& v) {
-    ++count;
-    if (v.kind() == Value::Kind::kInt) {
-      isum += v.AsInt();
-    } else {
-      int_only = false;
+  void Add(AggFunc func, const Value& v) {
+    switch (func) {
+      case AggFunc::kCountStar:
+      case AggFunc::kCount:
+        ++count;
+        return;
+      case AggFunc::kMin:
+        if (extreme.is_null() || Value::Compare(v, extreme) < 0) extreme = v;
+        return;
+      case AggFunc::kMax:
+        if (extreme.is_null() || Value::Compare(v, extreme) > 0) extreme = v;
+        return;
+      case AggFunc::kSum:
+        if (v.kind() == Value::Kind::kInt) {
+          isum += v.AsInt();
+        } else {
+          int_only = false;
+        }
+        break;
+      case AggFunc::kAvg:
+      case AggFunc::kStddev:
+        break;
     }
-    double d = v.AsDouble();
+    ++count;
+    const double d = v.AsDouble();
     sum += d;
-    sumsq += d * d;
-    if (min_v.is_null() || Value::Compare(v, min_v) < 0) min_v = v;
-    if (max_v.is_null() || Value::Compare(v, max_v) > 0) max_v = v;
+    if (func == AggFunc::kStddev) sumsq += d * d;
   }
 
-  /// Folds another partial state (over disjoint input rows) into this one.
-  void Merge(const Accum& o) {
+  /// Folds another partial state of the same aggregate (over disjoint
+  /// input rows) into this one.
+  void Merge(AggFunc func, const Accum& o) {
     count += o.count;
     isum += o.isum;
     sum += o.sum;
     sumsq += o.sumsq;
     int_only = int_only && o.int_only;
-    if (!o.min_v.is_null() &&
-        (min_v.is_null() || Value::Compare(o.min_v, min_v) < 0)) {
-      min_v = o.min_v;
-    }
-    if (!o.max_v.is_null() &&
-        (max_v.is_null() || Value::Compare(o.max_v, max_v) > 0)) {
-      max_v = o.max_v;
-    }
+    if (!o.extreme.is_null()) Add(func, o.extreme);  // MIN / MAX
     distinct.insert(o.distinct.begin(), o.distinct.end());
   }
 
-  Value Finalize(const Expr& agg) {
+  Value Finalize(const Expr& agg) const {
     if (agg.agg_distinct) {
       // Fold the distinct set through a plain accumulator.
       Accum folded;
-      for (const Value& v : distinct) folded.Add(v);
-      Expr plain;
-      plain.kind = Expr::Kind::kAgg;
-      plain.agg_func = agg.agg_func;
-      return folded.Finalize(plain);
+      for (const Value& v : distinct) folded.Add(agg.agg_func, v);
+      return folded.Result(agg.agg_func);
     }
-    switch (agg.agg_func) {
+    return Result(agg.agg_func);
+  }
+
+  Value Result(AggFunc func) const {
+    switch (func) {
       case AggFunc::kCountStar:
       case AggFunc::kCount:
         return Value::Int(count);
@@ -740,9 +783,8 @@ struct Accum {
         if (count == 0) return Value::Null();
         return Value::Double(sum / static_cast<double>(count));
       case AggFunc::kMin:
-        return min_v;
       case AggFunc::kMax:
-        return max_v;
+        return extreme;
       case AggFunc::kStddev: {
         if (count == 0) return Value::Null();
         double n = static_cast<double>(count);
@@ -779,36 +821,43 @@ int CompareRows(const Row& a, const Row& b,
 /// parallel path runs one per morsel and merges the partials in morsel
 /// order, which reproduces the serial group order and representative rows
 /// exactly regardless of worker scheduling.
+///
+/// An input row that hits an existing group allocates nothing: its key is
+/// evaluated into a reused buffer (or compared in place against the batch's
+/// key vectors), found through a flat open-addressing index of group ids,
+/// and folded into one flat accumulator array, agg_exprs.size() per group.
+/// Only a new group stores its key and representative frame.
 class GroupByState {
  public:
-  void Init(const BlockPlan* plan) { plan_ = plan; }
+  /// `copy_slots`: the frame slots a representative must deep-copy
+  /// (UnstableSlots of the block's join tree); the rest are borrowed.
+  void Init(const BlockPlan* plan, std::vector<int> copy_slots) {
+    plan_ = plan;
+    copy_slots_ = std::move(copy_slots);
+    ng_ = plan->group_exprs.size();
+    na_ = plan->agg_exprs.size();
+    key_buf_.resize(ng_);
+  }
 
   Status Consume(const Frame& f, ExecContext* ctx) {
-    Row key;
-    key.reserve(plan_->group_exprs.size());
-    for (const Expr* g : plan_->group_exprs) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, f, nullptr, ctx));
-      key.push_back(std::move(v));
+    for (size_t g = 0; g < ng_; ++g) {
+      TAURUS_ASSIGN_OR_RETURN(
+          key_buf_[g], EvalExpr(*plan_->group_exprs[g], f, nullptr, ctx));
     }
-    uint64_t h = HashRow(key);
-    size_t idx = Find(h, key);
-    if (idx == SIZE_MAX) {
-      idx = groups_.size();
-      index_[h].push_back(idx);
-      Group g;
-      g.key = std::move(key);
-      g.rep = OwnedFrame(f);
-      groups_.push_back(std::move(g));
-      accums_.emplace_back(plan_->agg_exprs.size());
-    }
-    for (size_t i = 0; i < plan_->agg_exprs.size(); ++i) {
-      const Expr& agg = *plan_->agg_exprs[i];
-      Value v;
-      if (agg.agg_func != AggFunc::kCountStar) {
-        TAURUS_ASSIGN_OR_RETURN(v,
-                                EvalExpr(*agg.children[0], f, nullptr, ctx));
+    auto key_at = [this](size_t g) -> const Value& { return key_buf_[g]; };
+    const uint64_t h = HashKey(key_at);
+    size_t idx = Find(h, key_at);
+    if (idx == kNoGroup) idx = AddGroup(h, key_at, OwnedFrame(f, copy_slots_));
+    Accum* acc = accums_.data() + idx * na_;
+    for (size_t a = 0; a < na_; ++a) {
+      const Expr& agg = *plan_->agg_exprs[a];
+      if (agg.agg_func == AggFunc::kCountStar) {
+        acc[a].CountRow();
+        continue;
       }
-      accums_[idx][i].Update(agg, v);
+      TAURUS_ASSIGN_OR_RETURN(arg_buf_,
+                              EvalExpr(*agg.children[0], f, nullptr, ctx));
+      acc[a].Update(agg, arg_buf_);
     }
     return Status::OK();
   }
@@ -818,42 +867,38 @@ class GroupByState {
   /// selection order — same groups, same encounter order, same
   /// representative frames as row-at-a-time consumption.
   Status ConsumeBatch(const Batch& b, ExecContext* ctx) {
-    const size_t n = b.sel.size();
-    const size_t ng = plan_->group_exprs.size();
-    const size_t na = plan_->agg_exprs.size();
-    std::vector<std::vector<Value>> gcols(ng);
-    for (size_t g = 0; g < ng; ++g) {
+    gcols_.resize(ng_);
+    for (size_t g = 0; g < ng_; ++g) {
       TAURUS_RETURN_IF_ERROR(
-          EvalExprBatch(*plan_->group_exprs[g], b, ctx, &gcols[g]));
+          EvalExprBatch(*plan_->group_exprs[g], b, ctx, &gcols_[g]));
     }
-    std::vector<std::vector<Value>> acols(na);
-    for (size_t a = 0; a < na; ++a) {
+    acols_.resize(na_);
+    for (size_t a = 0; a < na_; ++a) {
       const Expr& agg = *plan_->agg_exprs[a];
       if (agg.agg_func == AggFunc::kCountStar) continue;
-      TAURUS_RETURN_IF_ERROR(EvalExprBatch(*agg.children[0], b, ctx, &acols[a]));
+      TAURUS_RETURN_IF_ERROR(
+          EvalExprBatch(*agg.children[0], b, ctx, &acols_[a]));
     }
     Frame scratch;
-    for (size_t i = 0; i < n; ++i) {
-      Row key;
-      key.reserve(ng);
-      for (size_t g = 0; g < ng; ++g) key.push_back(gcols[g][i]);
-      uint64_t h = HashRow(key);
-      size_t idx = Find(h, key);
-      if (idx == SIZE_MAX) {
-        idx = groups_.size();
-        index_[h].push_back(idx);
-        Group grp;
-        grp.key = std::move(key);
+    for (size_t i = 0; i < b.sel.size(); ++i) {
+      auto key_at = [this, i](size_t g) -> const Value& {
+        return gcols_[g][i];
+      };
+      const uint64_t h = HashKey(key_at);
+      size_t idx = Find(h, key_at);
+      if (idx == kNoGroup) {
         if (scratch.empty()) scratch = *b.base;
         b.FillFrame(b.sel[i], &scratch);
-        grp.rep = OwnedFrame(scratch);
-        groups_.push_back(std::move(grp));
-        accums_.emplace_back(na);
+        idx = AddGroup(h, key_at, OwnedFrame(scratch, copy_slots_));
       }
-      for (size_t a = 0; a < na; ++a) {
+      Accum* acc = accums_.data() + idx * na_;
+      for (size_t a = 0; a < na_; ++a) {
         const Expr& agg = *plan_->agg_exprs[a];
-        accums_[idx][a].Update(
-            agg, agg.agg_func == AggFunc::kCountStar ? Value() : acols[a][i]);
+        if (agg.agg_func == AggFunc::kCountStar) {
+          acc[a].CountRow();
+        } else {
+          acc[a].Update(agg, acols_[a][i]);
+        }
       }
     }
     return Status::OK();
@@ -864,58 +909,134 @@ class GroupByState {
   /// morsel partials in morsel order therefore yields exactly the serial
   /// encounter order (and the serial representative frame per group).
   void Merge(GroupByState&& o) {
-    for (size_t gi = 0; gi < o.groups_.size(); ++gi) {
-      uint64_t h = HashRow(o.groups_[gi].key);
-      size_t idx = Find(h, o.groups_[gi].key);
-      if (idx == SIZE_MAX) {
-        idx = groups_.size();
-        index_[h].push_back(idx);
-        groups_.push_back(std::move(o.groups_[gi]));
-        accums_.push_back(std::move(o.accums_[gi]));
+    for (size_t gi = 0; gi < o.hashes_.size(); ++gi) {
+      auto key_at = [this, &o, gi](size_t g) -> const Value& {
+        return o.keys_[gi * ng_ + g];
+      };
+      const uint64_t h = o.hashes_[gi];
+      Accum* theirs = o.accums_.data() + gi * na_;
+      size_t idx = Find(h, key_at);
+      if (idx == kNoGroup) {
+        idx = AddGroup(h, key_at, std::move(o.reps_[gi]));
+        std::move(theirs, theirs + na_, accums_.data() + idx * na_);
       } else {
-        for (size_t a = 0; a < accums_[idx].size(); ++a) {
-          accums_[idx][a].Merge(o.accums_[gi][a]);
+        Accum* mine = accums_.data() + idx * na_;
+        for (size_t a = 0; a < na_; ++a) {
+          mine[a].Merge(plan_->agg_exprs[a]->agg_func, theirs[a]);
         }
       }
     }
   }
 
-  bool empty() const { return groups_.empty(); }
+  bool empty() const { return hashes_.empty(); }
 
   /// Scalar aggregation over empty input still yields one group.
   void AddEmptyScalarGroup(const Frame& frame) {
-    Group g;
-    g.rep = OwnedFrame(frame);
-    groups_.push_back(std::move(g));
-    accums_.emplace_back(plan_->agg_exprs.size());
+    auto no_key = [this](size_t g) -> const Value& { return key_buf_[g]; };
+    AddGroup(HashKey(no_key), no_key, OwnedFrame(frame, copy_slots_));
   }
 
-  /// Fills each group's agg_values and hands the groups over.
+  /// Finalizes each group's aggregates and hands the groups over.
   std::vector<Group> Finalize() {
-    for (size_t i = 0; i < groups_.size(); ++i) {
-      groups_[i].agg_values.reserve(plan_->agg_exprs.size());
-      for (size_t a = 0; a < plan_->agg_exprs.size(); ++a) {
-        groups_[i].agg_values.push_back(
-            accums_[i][a].Finalize(*plan_->agg_exprs[a]));
+    std::vector<Group> groups(hashes_.size());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      Group& grp = groups[i];
+      auto first = keys_.begin() + static_cast<std::ptrdiff_t>(i * ng_);
+      grp.key.assign(
+          std::make_move_iterator(first),
+          std::make_move_iterator(first + static_cast<std::ptrdiff_t>(ng_)));
+      grp.agg_values.reserve(na_);
+      for (size_t a = 0; a < na_; ++a) {
+        grp.agg_values.push_back(
+            accums_[i * na_ + a].Finalize(*plan_->agg_exprs[a]));
       }
+      grp.rep = std::move(reps_[i]);
     }
-    return std::move(groups_);
+    return groups;
   }
 
  private:
-  size_t Find(uint64_t h, const Row& key) const {
-    auto it = index_.find(h);
-    if (it == index_.end()) return SIZE_MAX;
-    for (size_t cand : it->second) {
-      if (CompareRows(groups_[cand].key, key) == 0) return cand;
+  static constexpr size_t kNoGroup = SIZE_MAX;
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// HashRow's fold over a key read through `key_at`.
+  template <typename KeyAt>
+  uint64_t HashKey(const KeyAt& key_at) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (size_t g = 0; g < ng_; ++g) h = HashCombine(h, key_at(g).Hash());
+    return h;
+  }
+
+  /// Home slot of `h`: the top bits of h times the golden ratio.
+  size_t Home(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  template <typename KeyAt>
+  size_t Find(uint64_t h, const KeyAt& key_at) const {
+    if (slots_.empty()) return kNoGroup;
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Home(h);; s = (s + 1) & mask) {
+      const uint32_t id = slots_[s];
+      if (id == kEmptySlot) return kNoGroup;
+      if (hashes_[id] == h && KeyEquals(id, key_at)) return id;
     }
-    return SIZE_MAX;
+  }
+
+  template <typename KeyAt>
+  bool KeyEquals(size_t id, const KeyAt& key_at) const {
+    const Value* key = keys_.data() + id * ng_;
+    for (size_t g = 0; g < ng_; ++g) {
+      if (Value::Compare(key[g], key_at(g)) != 0) return false;
+    }
+    return true;
+  }
+
+  template <typename KeyAt>
+  size_t AddGroup(uint64_t h, const KeyAt& key_at, OwnedFrame rep) {
+    const size_t idx = hashes_.size();
+    // Keep the index at most half full, so probes stay short.
+    if (2 * (idx + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(16, 2 * slots_.size()));
+    }
+    Place(h, idx);
+    hashes_.push_back(h);
+    for (size_t g = 0; g < ng_; ++g) keys_.push_back(key_at(g));
+    reps_.push_back(std::move(rep));
+    accums_.resize(accums_.size() + na_);
+    return idx;
+  }
+
+  void Place(uint64_t h, size_t idx) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = Home(h);
+    while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
+    slots_[s] = static_cast<uint32_t>(idx);
+  }
+
+  void Rehash(size_t capacity) {
+    slots_.assign(capacity, kEmptySlot);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (size_t id = 0; id < hashes_.size(); ++id) Place(hashes_[id], id);
   }
 
   const BlockPlan* plan_ = nullptr;
-  std::vector<Group> groups_;
-  std::unordered_map<uint64_t, std::vector<size_t>> index_;
-  std::vector<std::vector<Accum>> accums_;
+  std::vector<int> copy_slots_;
+  size_t ng_ = 0;  ///< group keys
+  size_t na_ = 0;  ///< aggregates
+  // Per group, in encounter order.
+  std::vector<uint64_t> hashes_;
+  std::vector<Value> keys_;  ///< ng_ per group
+  std::vector<OwnedFrame> reps_;
+  std::vector<Accum> accums_;  ///< na_ per group
+  // The index: group ids by hash, linear probing over a power of two.
+  std::vector<uint32_t> slots_;
+  int shift_ = 64;
+  // Reused per-row / per-batch evaluation buffers.
+  Row key_buf_;
+  Value arg_buf_;
+  std::vector<std::vector<Value>> gcols_;
+  std::vector<std::vector<Value>> acols_;
 };
 
 /// A buffered pre-sort row: its ORDER BY key plus the captured frame.
@@ -937,7 +1058,7 @@ Status FinishAgg(const BlockPlan& plan, std::vector<Group> groups,
   };
   std::vector<OutUnit> units;
   for (Group& g : groups) {
-    Frame rep_view = g.rep.View();
+    const Frame& rep_view = g.rep.View();
     AggContext agg_ctx;
     agg_ctx.agg_exprs = &plan.agg_exprs;
     agg_ctx.agg_values = &g.agg_values;
@@ -983,7 +1104,7 @@ Status FinishSort(const BlockPlan& plan, std::vector<SortUnit> units,
                      return CompareRows(a.sort_key, b.sort_key, &asc) < 0;
                    });
   for (SortUnit& u : units) {
-    Frame view = u.frame.View();
+    const Frame& view = u.frame.View();
     Row row;
     for (const Expr* p : plan.projections) {
       TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, view, nullptr, ctx));
@@ -1107,7 +1228,8 @@ struct ParallelOut {
 
 /// One worker's processing of one morsel's pipeline output.
 Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
-                     Frame* frame, ExecContext* shard, GroupByState* agg,
+                     Frame* frame, ExecContext* shard,
+                     const std::vector<int>& copy_slots, GroupByState* agg,
                      std::vector<SortUnit>* sort_units,
                      std::vector<Row>* rows) {
   while (true) {
@@ -1124,7 +1246,7 @@ Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
                                   EvalExpr(*e, *frame, nullptr, shard));
           u.sort_key.push_back(std::move(v));
         }
-        u.frame = OwnedFrame(*frame);
+        u.frame = OwnedFrame(*frame, copy_slots);
         sort_units->push_back(std::move(u));
         break;
       }
@@ -1147,8 +1269,8 @@ Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
 /// (selection order) matches the Volcano chain's emission order exactly, so
 /// groups, sort stability and plain output are bit-identical.
 Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
-                      ExecContext* ctx, GroupByState* agg,
-                      std::vector<SortUnit>* sort_units,
+                      ExecContext* ctx, const std::vector<int>& copy_slots,
+                      GroupByState* agg, std::vector<SortUnit>* sort_units,
                       std::vector<Row>* rows) {
   Frame scratch;
   while (true) {
@@ -1175,7 +1297,7 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
             u.sort_key.push_back(std::move(kcols[k][i]));
           }
           b->FillFrame(b->sel[i], &scratch);
-          u.frame = OwnedFrame(scratch);
+          u.frame = OwnedFrame(scratch, copy_slots);
           sort_units->push_back(std::move(u));
         }
         break;
@@ -1233,8 +1355,11 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
   // thread reads only after the pool joins, so no locking is needed and
   // the merged result is independent of scheduling.
   const size_t nm = static_cast<size_t>(num_morsels);
+  // What the morsels buffer outlives the worker shards (UnstableSlots).
+  const std::vector<int> copy_slots =
+      UnstableSlots(*plan.join_root, /*worker_shard=*/true);
   std::vector<GroupByState> agg_parts(mode == PipeMode::kAgg ? nm : 0);
-  for (GroupByState& s : agg_parts) s.Init(&plan);
+  for (GroupByState& s : agg_parts) s.Init(&plan, copy_slots);
   std::vector<std::vector<SortUnit>> sort_parts(
       mode == PipeMode::kSort ? nm : 0);
   std::vector<std::vector<Row>> row_parts(mode == PipeMode::kPlain ? nm : 0);
@@ -1301,7 +1426,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
         st = bchain.root->Open(&frame, shard);
         if (st.ok()) {
           st = ConsumeBatches(
-              mode, plan, bchain.root.get(), shard,
+              mode, plan, bchain.root.get(), shard, copy_slots,
               mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr,
               mode == PipeMode::kSort ? &sort_parts[mi] : nullptr,
               mode == PipeMode::kPlain ? &row_parts[mi] : nullptr);
@@ -1311,7 +1436,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
         st = chain->Open(&frame, shard);
         if (st.ok()) {
           st = ConsumeMorsel(
-              mode, plan, chain.get(), &frame, shard,
+              mode, plan, chain.get(), &frame, shard, copy_slots,
               mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr,
               mode == PipeMode::kSort ? &sort_parts[mi] : nullptr,
               mode == PipeMode::kPlain ? &row_parts[mi] : nullptr);
@@ -1358,7 +1483,6 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
 
   switch (mode) {
     case PipeMode::kAgg: {
-      out->agg.Init(&plan);
       bool first = true;
       for (GroupByState& part : agg_parts) {
         if (first) {
@@ -1429,6 +1553,12 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
   const PipeMode mode = plan.agg_mode != AggMode::kNone
                             ? PipeMode::kAgg
                             : (has_order ? PipeMode::kSort : PipeMode::kPlain);
+  // Rows kept after the producer moves on (group representatives, sort
+  // rows) borrow every slot but these.
+  const std::vector<int> copy_slots =
+      plan.join_root != nullptr && mode != PipeMode::kPlain
+          ? UnstableSlots(*plan.join_root, ctx->is_worker_shard)
+          : std::vector<int>();
 
   // ---- Parallel attempt (stage A via the morsel-driven pipeline). ----
   ParallelOut par;
@@ -1470,10 +1600,11 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
     if (par.engaged) {
       state = std::move(par.agg);
     } else {
-      state.Init(&plan);
+      state.Init(&plan, copy_slots);
       if (bchain.root != nullptr) {
         TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(),
-                                              ctx, &state, nullptr, nullptr));
+                                              ctx, copy_slots, &state, nullptr,
+                                              nullptr));
       } else if (iter != nullptr) {
         while (true) {
           TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
@@ -1496,7 +1627,8 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
       units = std::move(par.sort_units);
     } else if (bchain.root != nullptr) {
       TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
-                                            nullptr, &units, nullptr));
+                                            copy_slots, nullptr, &units,
+                                            nullptr));
     } else {
       while (iter != nullptr) {
         TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
@@ -1506,7 +1638,7 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
           TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, frame, nullptr, ctx));
           u.sort_key.push_back(std::move(v));
         }
-        u.frame = OwnedFrame(frame);
+        u.frame = OwnedFrame(frame, copy_slots);
         units.push_back(std::move(u));
       }
     }
@@ -1517,7 +1649,8 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
     // ---- Streaming projection, vectorized (full drain: no LIMIT here
     // unless DISTINCT forces one anyway). ----
     TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
-                                          nullptr, nullptr, &output));
+                                          copy_slots, nullptr, nullptr,
+                                          &output));
   } else {
     // ---- Streaming projection with early LIMIT exit. ----
     int64_t want = has_limit ? plan.offset + plan.limit : -1;

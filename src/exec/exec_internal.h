@@ -7,6 +7,7 @@
 // machinery (one build, probed by either engine), and the driving-path
 // helpers. Not part of the public executor API.
 
+#include <forward_list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -54,16 +55,35 @@ HashJoinLayout MakeHashJoinLayout(const PhysOp& op);
 std::string SketchStreamKey(const PhysOp& side,
                             const std::vector<const Expr*>& keys);
 
+/// The slots under `op` whose rows a buffering operator must deep-copy
+/// rather than borrow: the row-lifetime rule (DESIGN.md section 13),
+/// decided once per operator from the plan. Scans and index accesses bind
+/// TableData rows and a non-correlated derived table binds its cached
+/// materialization; both live for the whole query. Copied: a correlated
+/// derived table (invalidate_on_rebind), whose rows are replaced on every
+/// rebind, and — when `worker_shard` — every derived table, because a
+/// worker shard's derived_cache and the pipeline's prebuilt hash tables
+/// die at pipeline end, before the main thread merges the morsels' output.
+std::vector<int> UnstableSlots(const PhysOp& op, bool worker_shard);
+
 /// The materialized build side of a hash join. Built once (serially), then
 /// probed — possibly by many workers concurrently, which is safe because
-/// probing never mutates it.
+/// probing never mutates it. Entries are stored flat: entry e's key is
+/// Key(e)[0, num_keys) and its rows are Rows(e)[0, num_refs), parallel to
+/// the layout's build_refs. The rows are the producers' own pointers,
+/// except for UnstableSlots, whose rows are copied into `copies`.
 struct HashJoinShared {
-  struct Entry {
-    Row key;
-    OwnedFrame frame;  ///< only the build subtree's slots (narrowed copy)
-  };
-  std::unordered_multimap<uint64_t, size_t> table;
-  std::vector<Entry> entries;
+  size_t num_keys = 0;
+  size_t num_refs = 0;
+  std::vector<Value> keys;
+  std::vector<const Row*> rows;
+  std::forward_list<Row> copies;  ///< a list: growth never moves a copy
+  std::unordered_multimap<uint64_t, size_t> table;  ///< key hash -> entry
+
+  const Value* Key(size_t e) const { return keys.data() + e * num_keys; }
+  const Row* const* Rows(size_t e) const {
+    return rows.data() + e * num_refs;
+  }
 };
 
 /// Drains `build` into `out` (NULL keys skipped, AGMS build stream fed).

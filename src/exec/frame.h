@@ -14,52 +14,47 @@ namespace taurus {
 /// derived table) or is null when the leaf is not in scope / NULL-extended.
 using Frame = std::vector<const Row*>;
 
-/// A deep copy of (the occupied slots of) a Frame, used by buffering
-/// operators (sort, group-by representative rows, hash join build sides)
-/// whose inputs outlive the producing iterator's current position.
-struct OwnedFrame {
-  std::vector<Row> rows;        ///< storage, parallel to `present`
-  std::vector<bool> present;    ///< slot occupancy
-
+/// A Frame kept by a buffering operator (sort rows, group-by representative
+/// rows) after the producing iterator has moved on.
+///
+/// Slots are borrowed by default: the pointer is kept as it is, because the
+/// row it points at lives for the whole query (a base-table or index row in
+/// TableData, a cached derived-table row). Only the `copy_slots` a caller
+/// names are deep-copied into storage this object owns: rows their
+/// producer re-materializes or frees before the buffer is consumed. The
+/// caller decides which slots those are once per plan, not per row
+/// (UnstableSlots in exec_internal.h; DESIGN.md section 13).
+///
+/// Move-only: a move keeps the copies at their addresses, so View() stays
+/// valid; a copy would not.
+class OwnedFrame {
+ public:
   OwnedFrame() = default;
 
-  /// Captures `frame` by value.
-  explicit OwnedFrame(const Frame& frame) {
-    rows.resize(frame.size());
-    present.resize(frame.size(), false);
-    for (size_t i = 0; i < frame.size(); ++i) {
-      if (frame[i] != nullptr) {
-        rows[i] = *frame[i];
-        present[i] = true;
-      }
+  /// Captures `frame`, deep-copying its occupied `copy_slots`.
+  explicit OwnedFrame(const Frame& frame,
+                      const std::vector<int>& copy_slots = {})
+      : view_(frame) {
+    copies_.reserve(copy_slots.size());  // no reallocation after &back()
+    for (int s : copy_slots) {
+      const size_t i = static_cast<size_t>(s);
+      if (i >= view_.size() || view_[i] == nullptr) continue;
+      copies_.push_back(*view_[i]);
+      view_[i] = &copies_.back();
     }
   }
 
-  /// Captures only the `slots` of `frame` (for buffering operators that
-  /// later reconstitute just those slots, e.g. a hash join's build side —
-  /// copying the whole frame there would buffer every in-scope table's
-  /// row once per build row).
-  OwnedFrame(const Frame& frame, const std::vector<int>& slots) {
-    rows.resize(frame.size());
-    present.resize(frame.size(), false);
-    for (int s : slots) {
-      size_t i = static_cast<size_t>(s);
-      if (i < frame.size() && frame[i] != nullptr) {
-        rows[i] = *frame[i];
-        present[i] = true;
-      }
-    }
-  }
+  OwnedFrame(OwnedFrame&&) = default;
+  OwnedFrame& operator=(OwnedFrame&&) = default;
+  OwnedFrame(const OwnedFrame&) = delete;
+  OwnedFrame& operator=(const OwnedFrame&) = delete;
 
-  /// Reconstitutes a Frame view pointing into this OwnedFrame's storage.
-  /// The view is valid while this object is alive and un-moved.
-  Frame View() const {
-    Frame f(rows.size(), nullptr);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (present[i]) f[i] = &rows[i];
-    }
-    return f;
-  }
+  /// The captured frame: borrowed pointers and pointers into the copies.
+  const Frame& View() const { return view_; }
+
+ private:
+  Frame view_;
+  std::vector<Row> copies_;
 };
 
 }  // namespace taurus

@@ -382,8 +382,6 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
       }
 
       if (ref_index >= 0) {
-        const Expr* key_col = nullptr;
-        (void)key_col;
         double base = stats_.LeafBaseRows(*unit.ref);
         const IndexDef& idx =
             unit.ref->table->indexes[static_cast<size_t>(ref_index)];

@@ -363,13 +363,6 @@ bool BlockIsCorrelated(const QueryBlock& block, int num_refs) {
       if (r->on) CollectReferencedRefs(*r->on, &used);
       stack.push_back(r->left.get());
       stack.push_back(r->right.get());
-    } else if (r->kind == TableRef::Kind::kDerived) {
-      // The derived body's references were accounted for via owned +
-      // its own correlation; include them for the enclosing test.
-      std::vector<bool> tmp(used.size(), false);
-      RefSet dummy(used.size(), 0);
-      CollectOwnedRefs(*r->derived, &dummy);
-      (void)tmp;
     }
   }
   // Also references made inside derived bodies and subqueries count.
