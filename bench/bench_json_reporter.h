@@ -13,9 +13,10 @@
 namespace taurus_bench {
 
 /// ConsoleReporter that also collects one (name, ms-per-iteration) metric
-/// per run, so google-benchmark benches emit the same flat
-/// BENCH_<name>.json schema the hand-rolled benches write through
-/// WriteBenchJson (micro_parallel_exec, table1_compile_overhead).
+/// per run, plus one metric per user counter, so google-benchmark benches
+/// emit the same flat BENCH_<name>.json schema the hand-rolled benches
+/// write through WriteBenchJson (micro_parallel_exec,
+/// table1_compile_overhead).
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -24,7 +25,12 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       // real_accumulated_time is seconds over all iterations.
       double ms = run.real_accumulated_time * 1e3;
       if (run.iterations > 0) ms /= static_cast<double>(run.iterations);
-      metrics_.emplace_back(MetricKey(run.benchmark_name()), ms);
+      const std::string key = MetricKey(run.benchmark_name());
+      metrics_.emplace_back(key + "_ms", ms);
+      // "BM_X/4" counter "partitions" -> "x_4_partitions".
+      for (const auto& [counter, value] : run.counters) {
+        metrics_.emplace_back(key + "_" + counter, value.value);
+      }
     }
     benchmark::ConsoleReporter::ReportRuns(reports);
   }
@@ -34,8 +40,8 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  /// "BM_HashJoin/4096" -> "hash_join_4096_ms": a flat JSON key that stays
-  /// stable across benchmark-library versions.
+  /// "BM_HashJoin/4096" -> "hash_join_4096": a flat JSON key stem that
+  /// stays stable across benchmark-library versions.
   static std::string MetricKey(const std::string& name) {
     std::string n = name;
     if (n.rfind("BM_", 0) == 0) n = n.substr(3);
@@ -53,7 +59,7 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       }
     }
     while (!key.empty() && key.back() == '_') key.pop_back();
-    return key + "_ms";
+    return key;
   }
 
   std::vector<std::pair<std::string, double>> metrics_;

@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the compilation pipeline
 // stages: parsing, binding+prepare, MySQL greedy optimization, the Orca
-// detour (per join-search strategy), the metadata provider's DXL round
-// trip, and the expression-OID algebra. These are the per-component
-// numbers behind the Table 1 totals.
+// detour (per join-search strategy), the Orca join search alone on chain,
+// star and cycle join graphs of 4 to 12 tables, the metadata provider's
+// DXL round trip, and the expression-OID algebra. These are the
+// per-component numbers behind the Table 1 totals.
 //
-// --json writes BENCH_optimizer.json (flat name -> ms/iter map) for CI
-// trending; other flags pass through to google-benchmark.
+// --json writes BENCH_optimizer.json (flat name -> ms/iter map, plus
+// partitions_evaluated for the join-search family) for CI trending; other
+// flags pass through to google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -84,6 +86,63 @@ BENCHMARK(BM_OrcaOptimize)
     ->Arg(static_cast<int>(JoinSearchStrategy::kGreedy))
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive))
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive2));
+
+enum class JoinGraph { kChain, kStar, kCycle };
+
+/// A count(*) over `n` aliases of `nation` joined on n_nationkey: a chain
+/// t0-t1-...-t(n-1), a star around t0, or the chain closed into a cycle.
+std::string JoinGraphQuery(JoinGraph shape, int n) {
+  std::string from;
+  std::string where;
+  auto join = [&](int a, int b) {
+    if (!where.empty()) where += " AND ";
+    where += "t" + std::to_string(a) + ".n_nationkey = t" +
+             std::to_string(b) + ".n_nationkey";
+  };
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) from += ", ";
+    from += "nation t" + std::to_string(i);
+    if (i == 0) continue;
+    join(shape == JoinGraph::kStar ? 0 : i - 1, i);
+  }
+  if (shape == JoinGraph::kCycle && n > 2) join(n - 1, 0);
+  return "SELECT count(*) FROM " + from + " WHERE " + where;
+}
+
+/// Optimize time against join count: the whole Orca detour under
+/// EXHAUSTIVE2 on one join graph, with the partition pairs it costed.
+void BM_OrcaJoinSearch(benchmark::State& state, JoinGraph shape) {
+  Database* db = SharedDb();
+  OrcaConfig config;
+  config.strategy = JoinSearchStrategy::kExhaustive2;
+  const std::string sql =
+      JoinGraphQuery(shape, static_cast<int>(state.range(0)));
+  int64_t partitions = 0;
+  for (auto _ : state) {
+    auto q = ParseSelect(sql);
+    auto bound = BindStatement(db->catalog(), std::move(*q));
+    BoundStatement stmt = std::move(*bound);
+    (void)PrepareStatement(&stmt);
+    OrcaPathOptimizer orca(db->catalog(), &stmt, &db->mdp(), config);
+    auto skel = orca.Optimize();
+    benchmark::DoNotOptimize(skel);
+    if (!skel.ok()) {
+      state.SkipWithError(skel.status().ToString().c_str());
+      break;
+    }
+    partitions = orca.metrics().partitions_evaluated;
+  }
+  state.counters["partitions_evaluated"] = static_cast<double>(partitions);
+}
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, chain, JoinGraph::kChain)
+    ->DenseRange(4, 12)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, star, JoinGraph::kStar)
+    ->DenseRange(4, 12)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, cycle, JoinGraph::kCycle)
+    ->DenseRange(4, 12)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullCompileOrca(benchmark::State& state) {
   Database* db = SharedDb();

@@ -162,6 +162,12 @@ echo "check.sh: batch executor bench (BENCH_exec_batch.json)"
 (cd "$repo_root" && "$build_dir/bench/micro_executor" --json \
   --benchmark_filter=BM_SequentialScan)
 
+# Compile-pipeline leg: per-stage compile times plus the Orca join search
+# on chain/star/cycle graphs of 4-12 tables (ms/iter and
+# partitions_evaluated per shape); writes BENCH_optimizer.json.
+echo "check.sh: optimizer bench (BENCH_optimizer.json)"
+(cd "$repo_root" && "$build_dir/bench/micro_optimizer" --json)
+
 # Merge the per-bench artifacts into one BENCH_summary.json keyed by bench
 # name, so trend dashboards consume a single document per run.
 if command -v python3 >/dev/null 2>&1; then

@@ -24,6 +24,28 @@ void CollectGetLeaves(const OrcaLogicalOp* op, std::vector<TableRef*>* out) {
   for (const auto& c : op->children) CollectGetLeaves(c.get(), out);
 }
 
+/// A join conjunct with the units it references and whether it is a
+/// column equality between two tables (a hash-join key). Both are fixed
+/// before the search starts, so the search never re-walks an expression.
+struct Conjunct {
+  Expr* expr = nullptr;
+  uint64_t units = 0;
+  bool equality = false;
+};
+
+/// True when `e` is an equality with column `column_idx` of `ref_id` on
+/// either side — a conjunct that can bind that column for an index lookup.
+bool BindsColumn(const Expr& e, int ref_id, int column_idx) {
+  if (e.kind != Expr::Kind::kBinary || e.bop != BinaryOp::kEq) return false;
+  for (const auto& side : e.children) {
+    if (side->kind == Expr::Kind::kColumnRef && side->ref_id == ref_id &&
+        side->column_idx == column_idx) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// One reorderable element of the flattened join tree.
 struct Unit {
   OrcaLogicalOp* op = nullptr;   ///< Get, or subtree root for composites
@@ -31,7 +53,7 @@ struct Unit {
   std::vector<Expr*> local_conds;
   JoinType join_type = JoinType::kInner;
   uint64_t dependency = 0;
-  std::vector<Expr*> join_conds;
+  std::vector<Conjunct> join_conds;  ///< ON conjuncts of a dependent unit
 
   double rows = 1.0;             ///< after local conjuncts
   double base_rows = 1.0;        ///< before local conjuncts
@@ -41,11 +63,6 @@ struct Unit {
   OrcaPhysicalOp::Kind access = OrcaPhysicalOp::Kind::kTableScan;
   int access_index = -1;
   std::unique_ptr<OrcaPhysicalOp> composite_plan;  ///< for composite units
-};
-
-struct PoolConjunct {
-  Expr* expr = nullptr;
-  uint64_t units = 0;
 };
 
 /// Best physical alternative memoized per unit subset (a memo group).
@@ -98,10 +115,26 @@ class JoinSearch {
   Status SetupUnit(Unit* unit);
 
   uint64_t UnitMask(const Expr& e) const;
+  /// Fixes the conjunct facts the search reads on every pair: equality
+  /// flags, ON-conjunct unit masks and the mask of dependent units.
+  void PrepareConjuncts();
+  /// True when every dependent (non-inner) unit in `set` has its whole
+  /// dependency inside `set`.
+  bool Resolved(uint64_t set) const;
   bool Admissible(uint64_t set) const;
+  /// Calls `fn(conjunct)` on every conjunct joining A to B until `fn`
+  /// returns false; returns false iff `fn` stopped the walk. The order is
+  /// fixed (pool conjuncts, then the ON conjuncts of a dependent unit that
+  /// is all of B), so products over it are reproducible.
+  template <typename Fn>
+  bool ForEachCrossCond(uint64_t a, uint64_t b, Fn&& fn) const;
+  bool Connected(uint64_t a, uint64_t b) const;
   std::vector<Expr*> CrossConds(uint64_t a, uint64_t b) const;
-  double CrossSelectivity(const std::vector<Expr*>& conds) const;
+  double CrossSelectivity(uint64_t a, uint64_t b) const;
+  double Selectivity(const Conjunct& c) const;
   double Rows(uint64_t set);
+  /// Harvested actual output rows of this exact unit subset, or nullptr.
+  const double* ActualRows(uint64_t set) const;
   /// Canonical feedback key for a unit subset: the sorted ref_ids of every
   /// leaf it covers (composite units contribute all their Get leaves).
   std::string SetKey(uint64_t set) const;
@@ -130,12 +163,19 @@ class JoinSearch {
   int64_t* actual_overrides_;
   int64_t* sketch_overrides_;
 
+  /// Estimated output rows of a unit subset and where they came from.
+  /// Kept apart from memo_: estimating a set creates no memo group.
+  struct Card {
+    double rows = 1.0;
+    CardSource source = CardSource::kHistogram;
+  };
+
   std::vector<Unit> units_;
-  std::vector<PoolConjunct> pool_;
+  std::vector<Conjunct> pool_;
+  uint64_t non_inner_ = 0;  ///< units with a non-inner join type
   std::unordered_map<int, int> unit_of_ref_;
   std::unordered_map<uint64_t, GroupState> memo_;
-  std::unordered_map<uint64_t, double> rows_memo_;
-  std::unordered_map<uint64_t, CardSource> rows_source_;
+  std::unordered_map<uint64_t, Card> cards_;
   int64_t budget_ = 0;
   bool budget_exhausted_ = false;
 };
@@ -153,7 +193,7 @@ Status JoinSearch::AddUnit(OrcaLogicalOp* op, JoinType type,
   if (op->kind == OrcaLogicalOp::Kind::kGet) u.leaf = op->leaf;
   u.join_type = type;
   u.dependency = dependency;
-  u.join_conds = std::move(join_conds);
+  for (Expr* c : join_conds) u.join_conds.push_back(Conjunct{c});
   u.local_conds = std::move(local_conds);
   std::vector<TableRef*> leaves;
   CollectGetLeaves(op, &leaves);
@@ -180,7 +220,7 @@ Status JoinSearch::FlattenInto(OrcaLogicalOp* op, uint64_t* added,
                        added);
       }
       TAURUS_RETURN_IF_ERROR(FlattenInto(child, added, {}));
-      for (Expr* c : conds) pool_.push_back(PoolConjunct{c, 0});
+      for (Expr* c : conds) pool_.push_back(Conjunct{c});
       return Status::OK();
     }
     case OrcaLogicalOp::Kind::kJoin: {
@@ -188,8 +228,8 @@ Status JoinSearch::FlattenInto(OrcaLogicalOp* op, uint64_t* added,
           op->join_type == JoinType::kCross) {
         TAURUS_RETURN_IF_ERROR(FlattenInto(op->children[0].get(), added, {}));
         TAURUS_RETURN_IF_ERROR(FlattenInto(op->children[1].get(), added, {}));
-        for (Expr* c : op->conds) pool_.push_back(PoolConjunct{c, 0});
-        for (Expr* c : pending_conds) pool_.push_back(PoolConjunct{c, 0});
+        for (Expr* c : op->conds) pool_.push_back(Conjunct{c});
+        for (Expr* c : pending_conds) pool_.push_back(Conjunct{c});
         return Status::OK();
       }
       uint64_t left_mask = 0;
@@ -205,7 +245,7 @@ Status JoinSearch::FlattenInto(OrcaLogicalOp* op, uint64_t* added,
       }
       TAURUS_RETURN_IF_ERROR(AddUnit(right, op->join_type, left_mask,
                                      op->conds, std::move(local), added));
-      for (Expr* c : pending_conds) pool_.push_back(PoolConjunct{c, 0});
+      for (Expr* c : pending_conds) pool_.push_back(Conjunct{c});
       return Status::OK();
     }
   }
@@ -337,13 +377,12 @@ Status JoinSearch::SetupUnit(Unit* unit) {
                  feedback_, actual_overrides_, sketch_overrides_);
   TAURUS_RETURN_IF_ERROR(sub.Flatten(unit->op));
   // Restrict join_conds to subtree-only pieces and push them in.
-  for (Expr* jc : unit->join_conds) {
-    uint64_t m = sub.UnitMask(*jc);
+  std::vector<TableRef*> leaves;
+  CollectGetLeaves(unit->op, &leaves);
+  for (const Conjunct& jc : unit->join_conds) {
     bool subtree_only = true;
     std::vector<bool> refs(static_cast<size_t>(num_refs_), false);
-    CollectReferencedRefs(*jc, &refs);
-    std::vector<TableRef*> leaves;
-    CollectGetLeaves(unit->op, &leaves);
+    CollectReferencedRefs(*jc.expr, &refs);
     for (int r = 0; r < num_refs_; ++r) {
       if (!refs[static_cast<size_t>(r)]) continue;
       bool inside = false;
@@ -354,14 +393,13 @@ Status JoinSearch::SetupUnit(Unit* unit) {
       // of the parent search are not.
       if (!inside && unit_of_ref_.count(r) != 0) subtree_only = false;
     }
-    (void)m;
-    if (subtree_only) sub.pool_.push_back(PoolConjunct{jc, 0});
+    if (subtree_only) sub.pool_.push_back(Conjunct{jc.expr});
   }
-  for (PoolConjunct& c : sub.pool_) c.units = sub.UnitMask(*c.expr);
+  for (Conjunct& c : sub.pool_) c.units = sub.UnitMask(*c.expr);
   // Fold freshly-added single-unit conjuncts into unit-local conditions.
   {
-    std::vector<PoolConjunct> keep;
-    for (PoolConjunct& c : sub.pool_) {
+    std::vector<Conjunct> keep;
+    for (Conjunct& c : sub.pool_) {
       if (c.units != 0 && std::popcount(c.units) == 1) {
         int uidx = std::countr_zero(c.units);
         Unit& su = sub.units_[static_cast<size_t>(uidx)];
@@ -387,10 +425,10 @@ Status JoinSearch::SetupUnit(Unit* unit) {
 Status JoinSearch::Flatten(OrcaLogicalOp* root) {
   uint64_t added = 0;
   TAURUS_RETURN_IF_ERROR(FlattenInto(root, &added, {}));
-  for (PoolConjunct& c : pool_) c.units = UnitMask(*c.expr);
+  for (Conjunct& c : pool_) c.units = UnitMask(*c.expr);
   // Single-unit pool conjuncts fold into that unit's local conditions.
-  std::vector<PoolConjunct> keep;
-  for (PoolConjunct& c : pool_) {
+  std::vector<Conjunct> keep;
+  for (Conjunct& c : pool_) {
     if (c.units != 0 && std::popcount(c.units) == 1) {
       int u = std::countr_zero(c.units);
       units_[static_cast<size_t>(u)].local_conds.push_back(c.expr);
@@ -402,48 +440,77 @@ Status JoinSearch::Flatten(OrcaLogicalOp* root) {
   return Status::OK();
 }
 
-bool JoinSearch::Admissible(uint64_t set) const {
-  if (std::popcount(set) == 1) return true;
+void JoinSearch::PrepareConjuncts() {
+  for (Conjunct& c : pool_) {
+    c.equality = StatsProvider::IsColumnEquality(*c.expr);
+  }
   for (size_t u = 0; u < units_.size(); ++u) {
-    if ((set & (1ULL << u)) == 0) continue;
     if (units_[u].join_type == JoinType::kInner) continue;
-    if ((units_[u].dependency & ~set) != 0) return false;
+    non_inner_ |= 1ULL << u;
+    for (Conjunct& c : units_[u].join_conds) {
+      c.units = UnitMask(*c.expr);
+      c.equality = StatsProvider::IsColumnEquality(*c.expr);
+    }
+  }
+}
+
+bool JoinSearch::Resolved(uint64_t set) const {
+  for (uint64_t m = set & non_inner_; m != 0; m &= m - 1) {
+    if ((units_[static_cast<size_t>(std::countr_zero(m))].dependency &
+         ~set) != 0) {
+      return false;
+    }
   }
   return true;
 }
 
-std::vector<Expr*> JoinSearch::CrossConds(uint64_t a, uint64_t b) const {
-  std::vector<Expr*> out;
-  uint64_t both = a | b;
-  for (const PoolConjunct& c : pool_) {
-    if (c.units == 0) continue;
+bool JoinSearch::Admissible(uint64_t set) const {
+  return std::has_single_bit(set) || Resolved(set);
+}
+
+template <typename Fn>
+bool JoinSearch::ForEachCrossCond(uint64_t a, uint64_t b, Fn&& fn) const {
+  const uint64_t both = a | b;
+  for (const Conjunct& c : pool_) {
     if ((c.units & ~both) != 0) continue;
     if ((c.units & a) == 0 || (c.units & b) == 0) continue;
-    out.push_back(c.expr);
+    if (!fn(c)) return false;
   }
   // Dependent unit joined as the whole right side contributes its ON.
-  if (std::popcount(b) == 1) {
-    const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.join_type != JoinType::kInner) {
-      for (Expr* jc : u.join_conds) {
-        uint64_t m = UnitMask(*jc);
-        if (m == b) continue;  // folded into the unit already
-        out.push_back(jc);
-      }
+  if (std::has_single_bit(b) && (b & non_inner_) != 0) {
+    for (const Conjunct& c :
+         units_[static_cast<size_t>(std::countr_zero(b))].join_conds) {
+      if (c.units == b) continue;  // folded into the unit already
+      if (!fn(c)) return false;
     }
   }
+  return true;
+}
+
+bool JoinSearch::Connected(uint64_t a, uint64_t b) const {
+  return !ForEachCrossCond(a, b, [](const Conjunct&) { return false; });
+}
+
+std::vector<Expr*> JoinSearch::CrossConds(uint64_t a, uint64_t b) const {
+  std::vector<Expr*> out;
+  ForEachCrossCond(a, b, [&](const Conjunct& c) {
+    out.push_back(c.expr);
+    return true;
+  });
   return out;
 }
 
-double JoinSearch::CrossSelectivity(const std::vector<Expr*>& conds) const {
+double JoinSearch::Selectivity(const Conjunct& c) const {
+  return c.equality ? stats_->EqJoinSelectivity(*c.expr)
+                    : stats_->ConjunctSelectivity(*c.expr);
+}
+
+double JoinSearch::CrossSelectivity(uint64_t a, uint64_t b) const {
   double sel = 1.0;
-  for (const Expr* c : conds) {
-    if (StatsProvider::IsColumnEquality(*c)) {
-      sel *= stats_->EqJoinSelectivity(*c);
-    } else {
-      sel *= stats_->ConjunctSelectivity(*c);
-    }
-  }
+  ForEachCrossCond(a, b, [&](const Conjunct& c) {
+    sel *= Selectivity(c);
+    return true;
+  });
   return std::clamp(sel, 0.0, 1.0);
 }
 
@@ -478,10 +545,10 @@ double JoinSearch::SketchJoinRows(uint64_t set) const {
   // conjuncts are applied by the caller as selectivities).
   const Expr* eq = nullptr;
   double other_sel = 1.0;
-  for (const PoolConjunct& c : pool_) {
+  for (const Conjunct& c : pool_) {
     if (c.units == 0 || (c.units & ~set) != 0) continue;
     if (std::popcount(c.units) < 2) continue;
-    if (StatsProvider::IsColumnEquality(*c.expr)) {
+    if (c.equality) {
       if (eq != nullptr) return -1.0;  // multi-column join key
       eq = c.expr;
     } else {
@@ -510,46 +577,49 @@ double JoinSearch::SketchJoinRows(uint64_t set) const {
 }
 
 CardSource JoinSearch::SourceOf(uint64_t set) const {
-  auto it = rows_source_.find(set);
-  return it != rows_source_.end() ? it->second : CardSource::kHistogram;
+  auto it = cards_.find(set);
+  return it != cards_.end() ? it->second.source : CardSource::kHistogram;
+}
+
+const double* JoinSearch::ActualRows(uint64_t set) const {
+  if (feedback_ == nullptr) return nullptr;
+  auto it = feedback_->node_actuals.find(SetKey(set));
+  return it != feedback_->node_actuals.end() ? &it->second : nullptr;
 }
 
 double JoinSearch::Rows(uint64_t set) {
-  auto it = rows_memo_.find(set);
-  if (it != rows_memo_.end()) return it->second;
+  auto it = cards_.find(set);
+  if (it != cards_.end()) return it->second.rows;
   double rows;
   CardSource source = CardSource::kHistogram;
-  if (std::popcount(set) == 1) {
+  if (std::has_single_bit(set)) {
     const Unit& u = units_[static_cast<size_t>(std::countr_zero(set))];
     rows = u.rows;
     source = u.card_source;
-  } else if (feedback_ != nullptr &&
-             feedback_->node_actuals.count(SetKey(set)) != 0) {
+  } else if (const double* actual = ActualRows(set)) {
     // A prior execution measured this exact sub-join: its actual output
     // cardinality beats any estimate.
-    rows = std::max(feedback_->node_actuals.at(SetKey(set)), 1.0);
+    rows = std::max(*actual, 1.0);
     source = CardSource::kActual;
     if (actual_overrides_ != nullptr) ++*actual_overrides_;
   } else {
     // Canonical decomposition: peel the highest dependent unit whose
     // dependency is satisfied; otherwise all-inner product formula.
     int dependent = -1;
-    for (int u = static_cast<int>(units_.size()) - 1; u >= 0; --u) {
+    for (uint64_t m = set & non_inner_; m != 0;) {
+      int u = 63 - std::countl_zero(m);
       uint64_t bit = 1ULL << u;
-      if ((set & bit) == 0) continue;
-      if (units_[static_cast<size_t>(u)].join_type == JoinType::kInner) {
-        continue;
-      }
       if ((units_[static_cast<size_t>(u)].dependency & ~(set & ~bit)) == 0) {
         dependent = u;
         break;
       }
+      m &= ~bit;
     }
     if (dependent >= 0) {
       uint64_t bit = 1ULL << dependent;
       const Unit& u = units_[static_cast<size_t>(dependent)];
       double base = Rows(set & ~bit);
-      double sel = CrossSelectivity(CrossConds(set & ~bit, bit));
+      double sel = CrossSelectivity(set & ~bit, bit);
       double inner_est = base * u.rows * sel;
       switch (u.join_type) {
         case JoinType::kSemi:
@@ -576,24 +646,19 @@ double JoinSearch::Rows(uint64_t set) {
         if (sketch_overrides_ != nullptr) ++*sketch_overrides_;
       } else {
         rows = 1.0;
-        for (size_t u = 0; u < units_.size(); ++u) {
-          if (set & (1ULL << u)) rows *= units_[u].rows;
+        for (uint64_t m = set; m != 0; m &= m - 1) {
+          rows *= units_[static_cast<size_t>(std::countr_zero(m))].rows;
         }
-        for (const PoolConjunct& c : pool_) {
+        for (const Conjunct& c : pool_) {
           if (c.units == 0 || (c.units & ~set) != 0) continue;
           if (std::popcount(c.units) < 2) continue;
-          if (StatsProvider::IsColumnEquality(*c.expr)) {
-            rows *= stats_->EqJoinSelectivity(*c.expr);
-          } else {
-            rows *= stats_->ConjunctSelectivity(*c.expr);
-          }
+          rows *= Selectivity(c);
         }
       }
     }
   }
   rows = std::max(rows, 1.0);
-  rows_memo_[set] = rows;
-  rows_source_[set] = source;
+  cards_.emplace(set, Card{rows, source});
   return rows;
 }
 
@@ -607,31 +672,20 @@ GroupState& JoinSearch::GroupOf(uint64_t set) {
 
 Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
                                 GroupState* g, bool allow_cross) {
-  if (!Admissible(a) || !Admissible(b)) return Status::OK();
+  // Dependent units in A must be resolved inside A.
+  if (!Resolved(a)) return Status::OK();
   JoinType jt = JoinType::kInner;
-  if (std::popcount(b) == 1) {
-    const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.join_type != JoinType::kInner) {
+  if (std::has_single_bit(b)) {
+    // A dependent unit as the whole right side needs its dependency in A;
+    // the join takes its type.
+    if ((b & non_inner_) != 0) {
+      const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
       if ((u.dependency & ~a) != 0) return Status::OK();
       jt = u.join_type;
     }
-  } else {
+  } else if (!Resolved(b)) {
     // A non-singleton right side must resolve its dependents internally.
-    for (size_t u = 0; u < units_.size(); ++u) {
-      if ((b & (1ULL << u)) == 0) continue;
-      if (units_[u].join_type != JoinType::kInner &&
-          (units_[u].dependency & ~b) != 0) {
-        return Status::OK();
-      }
-    }
-  }
-  // Dependent units in A must be resolved inside A.
-  for (size_t u = 0; u < units_.size(); ++u) {
-    if ((a & (1ULL << u)) == 0) continue;
-    if (units_[u].join_type != JoinType::kInner &&
-        (units_[u].dependency & ~a) != 0) {
-      return Status::OK();
-    }
+    return Status::OK();
   }
 
   ++(*partitions_);
@@ -646,20 +700,22 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
   GroupState& gb = GroupOf(b);
   if (ga.cost == kInf || gb.cost == kInf) return Status::OK();
 
-  std::vector<Expr*> conds = CrossConds(a, b);
+  bool connected = false;
   bool has_equality = false;
-  for (const Expr* c : conds) {
-    if (StatsProvider::IsColumnEquality(*c)) has_equality = true;
-  }
+  ForEachCrossCond(a, b, [&](const Conjunct& c) {
+    connected = true;
+    has_equality = c.equality;
+    return !has_equality;
+  });
   // Require connectivity for inner joins unless the caller has determined
   // that only cross products remain.
-  if (!allow_cross && jt == JoinType::kInner && conds.empty()) {
+  if (!allow_cross && jt == JoinType::kInner && !connected) {
     return Status::OK();
   }
 
   double out_rows = Rows(set);
-  double rows_a = Rows(a);
-  double rows_b = Rows(b);
+  double rows_a = ga.rows;
+  double rows_b = gb.rows;
   const CostParams& cp = config_.cost;
 
   // Hash join: build on the right (Orca's convention).
@@ -686,20 +742,9 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
       for (size_t i = 0; i < u.leaf->table->indexes.size(); ++i) {
         const IndexDef& idx = u.leaf->table->indexes[i];
         if (idx.column_idx.empty()) continue;
-        bool bound = false;
-        for (const Expr* c : conds) {
-          if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-            continue;
-          }
-          for (int side = 0; side < 2; ++side) {
-            const Expr& col = *c->children[static_cast<size_t>(side)];
-            if (col.kind == Expr::Kind::kColumnRef &&
-                col.ref_id == u.leaf->ref_id &&
-                col.column_idx == idx.column_idx[0]) {
-              bound = true;
-            }
-          }
-        }
+        const bool bound = !ForEachCrossCond(a, b, [&](const Conjunct& c) {
+          return !BindsColumn(*c.expr, u.leaf->ref_id, idx.column_idx[0]);
+        });
         if (!bound) continue;
         double ndv = stats_->NdvOf(u.leaf->ref_id, idx.column_idx[0],
                                    std::max(u.base_rows, 1.0));
@@ -780,7 +825,7 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
       for (uint64_t a = (set - 1) & set; a != 0; a = (a - 1) & set) {
         if ((a & low) == 0) continue;
         uint64_t b = set & ~a;
-        if (pass == 0 && CrossConds(a, b).empty()) continue;
+        if (pass == 0 && !Connected(a, b)) continue;
         TAURUS_RETURN_IF_ERROR(TryPartition(set, a, b, &g, pass == 1));
         TAURUS_RETURN_IF_ERROR(TryPartition(set, b, a, &g, pass == 1));
         if (budget_ > budget_cap) break;
@@ -791,7 +836,7 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
         uint64_t bit = 1ULL << u;
         if ((set & bit) == 0) continue;
         uint64_t rest = set & ~bit;
-        if (pass == 0 && CrossConds(rest, bit).empty()) continue;
+        if (pass == 0 && !Connected(rest, bit)) continue;
         TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &g, pass == 1));
         // Commuted orientation for inner units (hash-join side choice).
         if (units_[u].join_type == JoinType::kInner) {
@@ -833,23 +878,13 @@ Status JoinSearch::GreedyPlan(uint64_t set) {
     uint64_t bit = 1ULL << u;
     if ((set & bit) == 0) continue;
     uint64_t rest = set & ~bit;
-    if (!Admissible(rest)) continue;
     if (units_[u].join_type != JoinType::kInner &&
         (units_[u].dependency & ~rest) != 0) {
       continue;
     }
     // Dependents inside rest must stay resolvable.
-    bool ok = true;
-    for (size_t v = 0; v < units_.size(); ++v) {
-      if ((rest & (1ULL << v)) == 0) continue;
-      if (units_[v].join_type != JoinType::kInner &&
-          (units_[v].dependency & ~(rest & ~(1ULL << v))) != 0) {
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-    if (CrossConds(rest, bit).empty() &&
-        units_[u].join_type == JoinType::kInner) {
+    if (!Resolved(rest)) continue;
+    if (units_[u].join_type == JoinType::kInner && !Connected(rest, bit)) {
       continue;  // avoid cross products while alternatives exist
     }
     GroupState cand;
@@ -954,6 +989,7 @@ Result<std::unique_ptr<OrcaPhysicalOp>> JoinSearch::Run() {
   for (Unit& u : units_) {
     TAURUS_RETURN_IF_ERROR(SetupUnit(&u));
   }
+  PrepareConjuncts();
   uint64_t full = units_.size() == 64
                       ? ~0ULL
                       : ((1ULL << units_.size()) - 1);
