@@ -1,9 +1,10 @@
 // Micro-benchmarks for the runtime pieces the cost model abstracts:
-// sequential scan rate, index lookup rate, hash join build/probe rates,
-// expression evaluation, the LIKE matcher, histogram selectivity probes,
-// and the order-preserving string-prefix encoding. Useful when re-tuning
-// CostParams (the paper's Section 9 calls out Orca cost-model tuning for
-// InnoDB as future work; these are the measurements that tuning needs).
+// sequential scan rate, index lookup rate, point-lookup statements on both
+// optimizer paths, hash join build/probe rates, expression evaluation, the
+// LIKE matcher, histogram selectivity probes, and the order-preserving
+// string-prefix encoding. Useful when re-tuning CostParams (the paper's
+// Section 9 calls out Orca cost-model tuning for InnoDB as future work;
+// these are the measurements that tuning needs).
 //
 // --json writes BENCH_executor.json (flat name -> ms/iter map) for CI
 // trending; other flags pass through to google-benchmark.
@@ -114,6 +115,32 @@ void BM_IndexLookupJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexLookupJoin);
+
+// The short-query regime: `id = K` on the primary key runs as a one-row
+// index range scan. Arg 0 forces the MySQL path, arg 1 the Orca detour;
+// K walks the key space so every statement hits the plan cache with a new
+// literal. rows_scanned is per statement.
+void BM_PointLookup(benchmark::State& state) {
+  Database* db = Db();
+  const OptimizerPath path =
+      state.range(0) == 0 ? OptimizerPath::kMySql : OptimizerPath::kOrca;
+  int64_t key = 0;
+  int64_t scanned = 0;
+  for (auto _ : state) {
+    key = (key + 7919) % 50000;
+    auto r = db->Query(
+        "SELECT id, k, v FROM f WHERE id = " + std::to_string(key), path);
+    if (!r.ok() || r->rows.size() != 1) {
+      state.SkipWithError("point lookup did not return its row");
+      break;
+    }
+    scanned += r->rows_scanned;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["rows_scanned"] = benchmark::Counter(
+      static_cast<double>(scanned), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PointLookup)->Arg(0)->Arg(1);
 
 void BM_HashJoin(benchmark::State& state) {
   Database* db = Db();

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     if (!rows.ok()) Fail(rows.status(), "show status");
     std::printf("=== SHOW STATUS LIKE 'taurus.health.%%' ===\n");
     for (const auto& row : rows->rows) {
-      std::printf("%-40s %s\n", row[0].AsString().c_str(),
-                  row[1].AsString().c_str());
+      std::printf("%-40s %s\n", row[0].ToString().c_str(),
+                  row[1].ToString().c_str());
     }
     std::printf("\n=== MetricsJson() ===\n");
   }

@@ -133,7 +133,7 @@ class IndexRangeIter : public FrameIter {
     size_t slot = static_cast<size_t>(op_->leaf->ref_id);
     const OrderedIndex& index = data_->index(op_->index_id);
     while (pos_ < end_) {
-      (*frame)[slot] = &data_->row(index.entry(pos_++).row_id);
+      (*frame)[slot] = &data_->row(index.row_id(pos_++));
       TAURUS_RETURN_IF_ERROR(ctx->ChargeScannedRow());
       TAURUS_ASSIGN_OR_RETURN(bool ok,
                               EvalConjuncts(op_->filters, *frame, nullptr, ctx));
@@ -186,7 +186,7 @@ class IndexLookupIter : public FrameIter {
     if (!empty_) {
       const OrderedIndex& index = data_->index(op_->index_id);
       while (pos_ < end_) {
-        (*frame)[slot] = &data_->row(index.entry(pos_++).row_id);
+        (*frame)[slot] = &data_->row(index.row_id(pos_++));
         TAURUS_RETURN_IF_ERROR(ctx->ChargeScannedRow());
         TAURUS_ASSIGN_OR_RETURN(
             bool ok, EvalConjuncts(op_->filters, *frame, nullptr, ctx));

@@ -99,14 +99,15 @@ Result<Value> EvalCast(const Value& v, TypeId target) {
     case TypeCategory::kInt4:
     case TypeCategory::kInt8:
       if (v.kind() == Value::Kind::kString) {
-        return Value::Int(std::strtoll(v.AsString().c_str(), nullptr, 10),
-                          target);
+        return Value::Int(
+            std::strtoll(std::string(v.AsString()).c_str(), nullptr, 10),
+            target);
       }
       return Value::Int(static_cast<int64_t>(v.AsDouble()), target);
     case TypeCategory::kNum:
       if (v.kind() == Value::Kind::kString) {
-        return Value::Double(std::strtod(v.AsString().c_str(), nullptr),
-                             target);
+        return Value::Double(
+            std::strtod(std::string(v.AsString()).c_str(), nullptr), target);
       }
       return Value::Double(v.AsDouble(), target);
     case TypeCategory::kStr:
@@ -150,7 +151,7 @@ Result<Value> EvalFunction(const Expr& expr, std::vector<Value> args) {
   }
   if (f == "substring" || f == "substr") {
     if (null_in()) return Value::Null();
-    const std::string& s = args[0].AsString();
+    std::string_view s = args[0].AsString();
     int64_t pos = args[1].AsInt();  // 1-based
     int64_t len = args.size() > 2 ? args[2].AsInt()
                                   : static_cast<int64_t>(s.size());
@@ -163,10 +164,10 @@ Result<Value> EvalFunction(const Expr& expr, std::vector<Value> args) {
   }
   if (f == "upper") {
     if (null_in()) return Value::Null();
-    std::string s = args[0].AsString();
+    std::string s(args[0].AsString());
     for (char& c : s) c = static_cast<char>(std::toupper(
         static_cast<unsigned char>(c)));
-    return Value::Str(std::move(s));
+    return Value::Str(s);
   }
   if (f == "lower") {
     if (null_in()) return Value::Null();
@@ -181,14 +182,14 @@ Result<Value> EvalFunction(const Expr& expr, std::vector<Value> args) {
     if (null_in()) return Value::Null();
     std::string out;
     for (const Value& a : args) out += a.ToString();
-    return Value::Str(std::move(out));
+    return Value::Str(out);
   }
   if (f == "trim") {
     if (null_in()) return Value::Null();
-    const std::string& s = args[0].AsString();
+    std::string_view s = args[0].AsString();
     size_t b = s.find_first_not_of(' ');
     size_t e = s.find_last_not_of(' ');
-    if (b == std::string::npos) return Value::Str("");
+    if (b == std::string_view::npos) return Value::Str("");
     return Value::Str(s.substr(b, e - b + 1));
   }
   if (f == "abs") {

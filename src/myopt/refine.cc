@@ -554,6 +554,10 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
         const IndexDef& idx =
             leaf->table->indexes[static_cast<size_t>(node->index_id)];
         int first_col = idx.column_idx.empty() ? -1 : idx.column_idx[0];
+        // `first_col = const` binds a point range, but only when no other
+        // conjunct bounds the range; otherwise it stays a filter.
+        Expr** point = nullptr;
+        Expr* point_value = nullptr;
         for (Expr*& c : att.at_node) {
           if (c == nullptr || first_col < 0) continue;
           if (c->kind == Expr::Kind::kBetween && !c->negated &&
@@ -568,7 +572,7 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
             continue;
           }
           if (c->kind != Expr::Kind::kBinary || !IsComparisonOp(c->bop) ||
-              c->bop == BinaryOp::kNe || c->bop == BinaryOp::kEq) {
+              c->bop == BinaryOp::kNe) {
             continue;
           }
           Expr* col = c->children[0].get();
@@ -586,6 +590,12 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
             }
           }
           switch (cmp) {
+            case BinaryOp::kEq:
+              if (point == nullptr) {
+                point = &c;
+                point_value = other;
+              }
+              break;
             case BinaryOp::kLt:
               if (op->range_hi == nullptr) {
                 op->range_hi = other;
@@ -617,6 +627,12 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
             default:
               break;
           }
+        }
+        if (op->range_lo == nullptr && op->range_hi == nullptr &&
+            point != nullptr) {
+          op->range_lo = op->range_hi = point_value;
+          op->lo_inclusive = op->hi_inclusive = true;
+          *point = nullptr;
         }
         if (op->range_lo == nullptr && op->range_hi == nullptr) {
           access = AccessMethod::kTableScan;

@@ -11,8 +11,8 @@ namespace taurus {
 
 namespace {
 
-double StringToNumber(const std::string& s) {
-  return std::strtod(s.c_str(), nullptr);
+double StringToNumber(std::string_view s) {
+  return std::strtod(std::string(s).c_str(), nullptr);
 }
 
 int CompareDoubles(double a, double b) {
@@ -29,7 +29,7 @@ int Value::Compare(const Value& a, const Value& b) {
     return a.kind_ == Kind::kNull ? -1 : 1;
   }
   if (a.kind_ == Kind::kString && b.kind_ == Kind::kString) {
-    int c = a.s_.compare(b.s_);
+    int c = a.AsString().compare(b.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   if (a.kind_ == Kind::kInt && b.kind_ == Kind::kInt) {
@@ -38,8 +38,10 @@ int Value::Compare(const Value& a, const Value& b) {
     return 0;
   }
   // Mixed numeric (or number-vs-string coercion) falls back to double.
-  double da = a.kind_ == Kind::kString ? StringToNumber(a.s_) : a.AsDouble();
-  double db = b.kind_ == Kind::kString ? StringToNumber(b.s_) : b.AsDouble();
+  double da =
+      a.kind_ == Kind::kString ? StringToNumber(a.AsString()) : a.AsDouble();
+  double db =
+      b.kind_ == Kind::kString ? StringToNumber(b.AsString()) : b.AsDouble();
   return CompareDoubles(da, db);
 }
 
@@ -47,8 +49,10 @@ uint64_t Value::Hash() const {
   switch (kind_) {
     case Kind::kNull:
       return 0x6e756c6cULL;
-    case Kind::kString:
-      return Fnv1aHash(s_.data(), s_.size());
+    case Kind::kString: {
+      std::string_view s = AsString();
+      return Fnv1aHash(s.data(), s.size());
+    }
     case Kind::kInt: {
       // Hash via double so that Int(3) and Double(3.0) collide, consistent
       // with Compare().
@@ -71,7 +75,7 @@ std::string Value::ToString() const {
     case Kind::kNull:
       return "NULL";
     case Kind::kString:
-      return s_;
+      return std::string(AsString());
     case Kind::kInt:
       if (type_ == TypeId::kDate || type_ == TypeId::kNewDate) {
         return FormatDate(i_);

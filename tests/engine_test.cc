@@ -309,6 +309,49 @@ TEST_F(EngineTest, Exhaustive2ExploresAtLeastAsMuch) {
   EXPECT_GE(ex2, ex1);
 }
 
+// Regression: an index range with no lower bound started at the index's
+// first entry, and NULL keys sort first, so `k < 5` counted the NULL rows
+// too (280 instead of 80 here) on both paths.
+TEST_F(EngineTest, IndexRangeSkipsNullKeys) {
+  ASSERT_TRUE(db_.ExecuteSql("CREATE TABLE t (id INT NOT NULL PRIMARY KEY, "
+                             "k INT, v INT)")
+                  .ok());
+  ASSERT_TRUE(db_.ExecuteSql("CREATE INDEX k_idx ON t (k)").ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 2000; ++i) {
+    rows.push_back({Value::Int(i),
+                    i % 10 == 0 ? Value::Null() : Value::Int(i % 100),
+                    Value::Int(i % 7)});
+  }
+  ASSERT_TRUE(db_.BulkLoad("t", std::move(rows)).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::pair<const char*, int64_t> cases[] = {
+      {"SELECT COUNT(*) FROM t WHERE k < 5", 80},
+      {"SELECT COUNT(*) FROM t WHERE k <= 1", 20},
+      {"SELECT COUNT(*) FROM t WHERE k BETWEEN 0 AND 1", 20},
+      {"SELECT COUNT(*) FROM t WHERE k = 1", 20},
+      {"SELECT COUNT(*) FROM t WHERE k < NULL", 0},
+      {"SELECT COUNT(*) FROM t WHERE k >= NULL", 0},
+      {"SELECT COUNT(*) FROM t WHERE k = NULL", 0},
+  };
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    for (const auto& [sql, count] : cases) {
+      auto r = db_.Query(sql, path);
+      ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << sql;
+      EXPECT_EQ(r->rows[0][0].AsInt(), count)
+          << sql << (path == OptimizerPath::kOrca ? " (orca)" : " (mysql)");
+    }
+    // The first two cases must run on the index for this test to bite.
+    for (const char* sql : {cases[0].first, cases[1].first}) {
+      auto e = db_.Explain(sql, path);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      EXPECT_NE(e->find("Index range scan on t using k_idx"),
+                std::string::npos)
+          << *e;
+    }
+  }
+}
+
 TEST_F(EngineTest, InstrumentationCountsSomething) {
   auto r = db_.Query(
       "SELECT c_name, o_id FROM customer JOIN orders ON o_cust = c_id "

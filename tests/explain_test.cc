@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "engine/database.h"
+#include "workloads/tpch.h"
 
 namespace taurus {
 namespace {
@@ -109,6 +113,131 @@ TEST_F(ExplainTest, HashJoinShowsKeys) {
   // a ref access may win; accept either rendering as long as the plan
   // prints a join with its predicate.
   EXPECT_NE(e->find("join"), std::string::npos);
+}
+
+/// The short-query regime's point statements on TPC-H: `o_orderkey = K` is
+/// a point range on the orders primary key, on both optimizer paths.
+class TpchPointLookupTest : public ::testing::Test {
+ protected:
+  static Database* db() {
+    static Database* instance = [] {
+      auto* d = new Database();
+      Status st = SetupTpch(d, 0.001);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      return d;
+    }();
+    return instance;
+  }
+
+  /// Rows of `sql` with column 0 equal to `key`, from a full scan on a
+  /// separate Volcano engine (forced MySQL path, batch execution off).
+  static std::vector<Row> Reference(const std::string& sql, int64_t key) {
+    static Database* ref = [] {
+      auto* d = new Database();
+      d->exec_config().enable_batch = false;
+      Status st = SetupTpch(d, 0.001);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      return d;
+    }();
+    auto r = ref->Query(sql, OptimizerPath::kMySql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<Row> out;
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      if (row[0].AsInt() == key) out.push_back(row);
+    }
+    return out;
+  }
+
+  /// Three order keys present at this scale (first, middle, last) plus one
+  /// absent key.
+  static std::vector<int64_t> Keys() {
+    auto r = db()->Query("SELECT o_orderkey FROM orders ORDER BY o_orderkey",
+                         OptimizerPath::kMySql);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok() || r->rows.empty()) return {};
+    const std::vector<Row>& rows = r->rows;
+    return {rows.front()[0].AsInt(), rows[rows.size() / 2][0].AsInt(),
+            rows.back()[0].AsInt(), rows.back()[0].AsInt() + 1};
+  }
+
+  static const char* PathName(OptimizerPath path) {
+    return path == OptimizerPath::kOrca ? "orca" : "mysql";
+  }
+};
+
+TEST_F(TpchPointLookupTest, KeyLookupScansOneRow) {
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    for (int64_t key : Keys()) {
+      const std::string sql =
+          "SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = " +
+          std::to_string(key);
+      auto e = db()->Explain(sql, path);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      EXPECT_NE(e->find("Index range scan on orders"), std::string::npos)
+          << PathName(path) << "\n" << *e;
+      EXPECT_EQ(e->find("Table scan"), std::string::npos) << *e;
+      auto r = db()->Query(sql, path);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<Row> expected =
+          Reference("SELECT o_orderkey, o_custkey FROM orders", key);
+      EXPECT_EQ(r->rows_scanned, static_cast<int64_t>(expected.size()))
+          << PathName(path) << " " << sql;
+      EXPECT_EQ(r->rows, expected) << PathName(path) << " " << sql;
+    }
+  }
+}
+
+TEST_F(TpchPointLookupTest, KeyJoinScansOneRowPerTable) {
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    for (int64_t key : Keys()) {
+      const std::string sql =
+          "SELECT o_orderkey, c_name, c_acctbal, n_name FROM orders, "
+          "customer, nation WHERE o_orderkey = " +
+          std::to_string(key) +
+          " AND o_custkey = c_custkey AND c_nationkey = n_nationkey";
+      auto e = db()->Explain(sql, path);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      EXPECT_NE(e->find("Index range scan on orders"), std::string::npos)
+          << PathName(path) << "\n" << *e;
+      EXPECT_EQ(e->find("Table scan"), std::string::npos) << *e;
+      auto r = db()->Query(sql, path);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<Row> expected = Reference(
+          "SELECT o_orderkey, c_name, c_acctbal, n_name FROM orders, "
+          "customer, nation WHERE o_custkey = c_custkey AND "
+          "c_nationkey = n_nationkey",
+          key);
+      EXPECT_EQ(r->rows_scanned, 3 * static_cast<int64_t>(expected.size()))
+          << PathName(path) << " " << sql;
+      EXPECT_EQ(r->rows, expected) << PathName(path) << " " << sql;
+    }
+  }
+}
+
+TEST_F(TpchPointLookupTest, RangeBoundWinsOverEquality) {
+  std::vector<int64_t> keys = Keys();
+  ASSERT_EQ(keys.size(), 4u);
+  const int64_t key = keys[1];
+  const std::string eq = "(o_orderkey = " + std::to_string(key) + ")";
+  const std::string sql =
+      "SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = " +
+      std::to_string(key) + " AND o_orderkey > " + std::to_string(key - 1);
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    auto e = db()->Explain(sql, path);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    // The `>` bound drives the range; the equality stays a filter on it.
+    EXPECT_NE(e->find("Index range scan on orders"), std::string::npos)
+        << PathName(path) << "\n" << *e;
+    EXPECT_NE(e->find("with filter: " + eq), std::string::npos)
+        << PathName(path) << "\n" << *e;
+    auto r = db()->Query(sql, path);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r->rows_scanned, 1) << PathName(path);
+    EXPECT_EQ(r->rows,
+              Reference("SELECT o_orderkey, o_custkey FROM orders", key))
+        << PathName(path);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "storage/storage.h"
 
 namespace taurus {
@@ -43,7 +46,7 @@ TEST_F(StorageTest, PrimaryIndexPointLookup) {
   EXPECT_EQ(pk.NumEntries(), 100u);
   auto [b, e] = pk.EqualRange({Value::Int(55)});
   ASSERT_EQ(e - b, 1u);
-  EXPECT_EQ(data_->row(pk.entry(b).row_id)[0].AsInt(), 55);
+  EXPECT_EQ(data_->row(pk.row_id(b))[0].AsInt(), 55);
 }
 
 TEST_F(StorageTest, LookupMiss) {
@@ -63,8 +66,8 @@ TEST_F(StorageTest, SecondaryPrefixLookup) {
 TEST_F(StorageTest, IndexEntriesSortedByKey) {
   const OrderedIndex& idx = data_->index(1);
   for (size_t i = 1; i < idx.NumEntries(); ++i) {
-    int64_t prev = idx.entry(i - 1).key[0].AsInt();
-    int64_t cur = idx.entry(i).key[0].AsInt();
+    int64_t prev = data_->row(idx.row_id(i - 1))[1].AsInt();
+    int64_t cur = data_->row(idx.row_id(i))[1].AsInt();
     EXPECT_LE(prev, cur);
   }
 }
@@ -117,6 +120,172 @@ TEST_F(StorageTest, UniqueColumnStillGetsHistogram) {
   // (Section 5.5): our ANALYZE builds them unconditionally.
   TableStats stats = ComputeTableStats(*data_, 16);
   EXPECT_FALSE(stats.columns[0].histogram.empty());
+}
+
+TEST_F(StorageTest, RangeNeverReturnsNullKeys) {
+  // by_name's first key column is NULL on 15 rows; they sort first.
+  ASSERT_TRUE(catalog_.AddIndex("items", {"by_name", {2}, false, false}).ok());
+  data_->BuildIndexes();
+  const OrderedIndex& by_name = data_->index(2);
+  Value hi = Value::Str("n5");
+  auto [b, e] = by_name.Range(nullptr, true, &hi, true);
+  ASSERT_LT(b, e);
+  for (size_t i = b; i < e; ++i) {
+    EXPECT_FALSE(data_->row(by_name.row_id(i))[2].is_null());
+  }
+  auto [b2, e2] = by_name.Range(nullptr, true, nullptr, true);
+  EXPECT_EQ(e2 - b2, 85u);
+  Value null = Value::Null();
+  auto [b3, e3] = by_name.Range(&null, true, nullptr, true);
+  EXPECT_EQ(b3, e3);
+  auto [b4, e4] = by_name.Range(nullptr, true, &null, true);
+  EXPECT_EQ(b4, e4);
+}
+
+/// Randomized check of OrderedIndex against brute force over the base rows:
+/// key order with row-id tie-break, EqualRange on every prefix length, and
+/// Range under every inclusivity combination with NULL and open bounds.
+class OrderedIndexPropertyTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 400;
+
+  void SetUp() override {
+    auto t = catalog_.CreateTable("p", {{"i", TypeId::kLong, 0, true},
+                                        {"d", TypeId::kDouble, 0, true},
+                                        {"s", TypeId::kVarchar, 8, true}});
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(catalog_.AddIndex("p", {"by_i", {0}, false, false}).ok());
+    ASSERT_TRUE(catalog_.AddIndex("p", {"by_d", {1}, false, false}).ok());
+    ASSERT_TRUE(catalog_.AddIndex("p", {"by_s", {2}, false, false}).ok());
+    ASSERT_TRUE(catalog_.AddIndex("p", {"by_s_i", {2, 0}, false, false}).ok());
+    ASSERT_TRUE(
+        catalog_.AddIndex("p", {"by_i_d_s", {0, 1, 2}, false, false}).ok());
+    data_ = storage_.CreateTable(*t);
+    // Small domains give long runs of equal keys; ~1 in 8 values is NULL.
+    for (int r = 0; r < kRows; ++r) {
+      data_->Append({RandomValue(0), RandomValue(1), RandomValue(2)});
+    }
+    data_->BuildIndexes();
+  }
+
+  /// A random non-NULL value of column `col`'s domain.
+  Value RandomKey(int col) {
+    int k = static_cast<int>(rng_() % 10);
+    switch (col) {
+      case 0:
+        return Value::Int(k - 1);
+      case 1:
+        return Value::Double(0.5 * k - 1.0);
+      default:
+        return Value::Str(std::string(1, static_cast<char>('a' + k)));
+    }
+  }
+
+  Value RandomValue(int col) {
+    return rng_() % 8 == 0 ? Value::Null() : RandomKey(col);
+  }
+
+  /// Every row id in index key order, by brute-force sort.
+  std::vector<uint32_t> SortedRowIds(const IndexDef& def) {
+    std::vector<uint32_t> ids(static_cast<size_t>(kRows));
+    for (size_t r = 0; r < ids.size(); ++r) ids[r] = static_cast<uint32_t>(r);
+    std::stable_sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+      for (int c : def.column_idx) {
+        int cmp = Value::Compare(data_->row(a)[static_cast<size_t>(c)],
+                                 data_->row(b)[static_cast<size_t>(c)]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    });
+    return ids;
+  }
+
+  static std::vector<uint32_t> Slice(const OrderedIndex& index,
+                                     std::pair<size_t, size_t> range) {
+    std::vector<uint32_t> out;
+    for (size_t i = range.first; i < range.second; ++i) {
+      out.push_back(index.row_id(i));
+    }
+    return out;
+  }
+
+  std::mt19937_64 rng_{20221014};
+  Catalog catalog_;
+  Storage storage_;
+  TableData* data_ = nullptr;
+};
+
+TEST_F(OrderedIndexPropertyTest, KeyOrderWithRowIdTieBreak) {
+  for (int x = 0; x < data_->NumIndexes(); ++x) {
+    const OrderedIndex& index = data_->index(x);
+    ASSERT_EQ(index.NumEntries(), static_cast<size_t>(kRows));
+    EXPECT_EQ(Slice(index, {0, index.NumEntries()}),
+              SortedRowIds(index.def()))
+        << index.def().name;
+  }
+}
+
+TEST_F(OrderedIndexPropertyTest, EqualRangeMatchesBruteForce) {
+  for (int x = 0; x < data_->NumIndexes(); ++x) {
+    const OrderedIndex& index = data_->index(x);
+    const std::vector<int>& cols = index.def().column_idx;
+    std::vector<uint32_t> sorted = SortedRowIds(index.def());
+    for (int trial = 0; trial < 200; ++trial) {
+      size_t len = 1 + static_cast<size_t>(rng_() % cols.size());
+      Row prefix;
+      for (size_t k = 0; k < len; ++k) prefix.push_back(RandomValue(cols[k]));
+      std::vector<uint32_t> expected;
+      for (uint32_t r : sorted) {
+        bool match = true;
+        for (size_t k = 0; k < len; ++k) {
+          match = match && Value::Compare(
+                               data_->row(r)[static_cast<size_t>(cols[k])],
+                               prefix[k]) == 0;
+        }
+        if (match) expected.push_back(r);
+      }
+      EXPECT_EQ(Slice(index, index.EqualRange(prefix)), expected)
+          << index.def().name << " prefix " << RowToString(prefix);
+    }
+  }
+}
+
+TEST_F(OrderedIndexPropertyTest, RangeMatchesBruteForce) {
+  for (int x = 0; x < data_->NumIndexes(); ++x) {
+    const OrderedIndex& index = data_->index(x);
+    size_t col = static_cast<size_t>(index.def().column_idx[0]);
+    std::vector<uint32_t> sorted = SortedRowIds(index.def());
+    for (int trial = 0; trial < 400; ++trial) {
+      // Each bound is open, NULL or a domain value, with either inclusivity.
+      Value lo_val = RandomValue(static_cast<int>(col));
+      Value hi_val = RandomValue(static_cast<int>(col));
+      const Value* lo = rng_() % 4 == 0 ? nullptr : &lo_val;
+      const Value* hi = rng_() % 4 == 0 ? nullptr : &hi_val;
+      bool lo_inc = (trial & 1) != 0;
+      bool hi_inc = (trial & 2) != 0;
+      std::vector<uint32_t> expected;
+      for (uint32_t r : sorted) {
+        const Value& key = data_->row(r)[col];
+        if (key.is_null() || (lo != nullptr && lo->is_null()) ||
+            (hi != nullptr && hi->is_null())) {
+          continue;  // a comparison with NULL is never true
+        }
+        if (lo != nullptr) {
+          int c = Value::Compare(key, *lo);
+          if (lo_inc ? c < 0 : c <= 0) continue;
+        }
+        if (hi != nullptr) {
+          int c = Value::Compare(key, *hi);
+          if (hi_inc ? c > 0 : c >= 0) continue;
+        }
+        expected.push_back(r);
+      }
+      EXPECT_EQ(Slice(index, index.Range(lo, lo_inc, hi, hi_inc)), expected)
+          << index.def().name << " lo "
+          << (lo ? lo->ToString() : "open") << (lo_inc ? " [" : " (")
+          << " hi " << (hi ? hi->ToString() : "open") << (hi_inc ? "]" : ")");
+    }
+  }
 }
 
 }  // namespace

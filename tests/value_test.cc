@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "types/datetime.h"
 #include "types/value.h"
 
@@ -99,6 +103,66 @@ TEST(ValueTest, OrderingOperatorForSets) {
 TEST(ValueTest, DoubleFormatting) {
   EXPECT_EQ(Value::Double(2.5).ToString(), "2.5");
   EXPECT_EQ(Value::Double(1e10).ToString(), "1e+10");
+}
+
+TEST(ValueTest, AccessorsOfOtherKindsAreEmpty) {
+  // The payloads share storage; an accessor of another kind must not
+  // expose it.
+  EXPECT_EQ(Value::Double(2.5).AsInt(), 0);
+  EXPECT_EQ(Value::Double(-1e300).AsInt(), 0);
+  EXPECT_EQ(Value::Str("42").AsInt(), 0);
+  EXPECT_EQ(Value::Null().AsInt(), 0);
+  EXPECT_EQ(Value::Int(-7).AsInt(), -7);
+  EXPECT_EQ(Value::Int(3).AsDouble(), 3.0);
+  EXPECT_EQ(Value::Int(3).AsString(), "");
+  EXPECT_EQ(Value::Double(1.5).AsString(), "");
+  EXPECT_EQ(Value::Null().AsString(), "");
+}
+
+TEST(ValueTest, CopyAndMoveAcrossKinds) {
+  // Strings of up to 24 bytes are stored in place, longer ones on the heap.
+  const std::string long_str = "a string longer than the small-string buffer";
+  const Value values[] = {Value::Null(),
+                          Value::Int(-3, TypeId::kLong),
+                          Value::Double(0.1),
+                          Value::Str(""),
+                          Value::Str("short"),
+                          Value::Str(std::string(24, 'x')),
+                          Value::Str(std::string(25, 'y')),
+                          Value::Str(long_str, TypeId::kString)};
+  for (const Value& from : values) {
+    for (const Value& to : values) {
+      Value copy = to;
+      copy = from;
+      EXPECT_EQ(copy.kind(), from.kind());
+      EXPECT_EQ(copy.type(), from.type());
+      EXPECT_EQ(Value::Compare(copy, from), 0) << from.ToString();
+      Value moved_into = to;
+      Value source = from;
+      moved_into = std::move(source);
+      EXPECT_EQ(moved_into.kind(), from.kind());
+      EXPECT_EQ(moved_into.ToString(), from.ToString());
+      Value constructed(std::move(moved_into));
+      EXPECT_EQ(constructed.ToString(), from.ToString());
+      const Value& self = constructed;
+      constructed = self;
+      EXPECT_EQ(constructed.ToString(), from.ToString());
+    }
+  }
+  Value heap = Value::Str(long_str);
+  Value taken(std::move(heap));
+  EXPECT_EQ(taken.AsString(), long_str);
+  // A moved-from heap string is left an empty string.
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_EQ(heap.kind(), Value::Kind::kString);
+  EXPECT_EQ(heap.AsString(), "");
+  std::vector<Value> grown;
+  for (int i = 0; i < 100; ++i) {
+    grown.push_back(i % 2 ? Value::Str(long_str + std::to_string(i))
+                          : Value::Double(i));
+  }
+  EXPECT_EQ(grown[99].AsString(), long_str + "99");
+  EXPECT_EQ(grown[98].AsDouble(), 98.0);
 }
 
 }  // namespace
