@@ -10,7 +10,7 @@
 // trending; other flags pass through to google-benchmark.
 //
 // A hand-rolled batch-vs-Volcano leg runs first: the same scan / aggregate
-// / hash-join queries once with ExecutorConfig::enable_batch off (the
+// / join queries once with ExecutorConfig::enable_batch off (the
 // row-at-a-time Volcano executor) and once on (the vectorized batch
 // executor), verifying identical results and reporting the speedup.
 // --json also writes BENCH_exec_batch.json with these columns.
@@ -251,11 +251,16 @@ void RunBatchVsVolcano(bool want_json) {
     OptimizerPath path;
   };
   // Q6-shaped scan+filter+aggregate (the scan-heavy pipeline), Q1-shaped
-  // grouped aggregate, a hash-join probe into the 50K-row fact table, and
-  // the two row-buffering mechanisms: a Q18-shaped GROUP BY with 15K
-  // groups (one representative row each) and a Q13-shaped left join whose
-  // 15K-row build side has wide rows.
+  // grouped aggregate, a hash-join probe into the 50K-row fact table, a
+  // Q14-shaped index nested-loop join (500 `d` rows each probing `f`
+  // through f_k, 100 matches a probe, filtered on `f`), and the two
+  // row-buffering mechanisms: a Q18-shaped GROUP BY with 15K groups (one
+  // representative row each) and a Q13-shaped left join whose 15K-row
+  // build side has wide rows.
   const Leg legs[] = {
+      {"index_nl_join",
+       "SELECT COUNT(*), SUM(f.v) FROM d, f WHERE f.k = d.id AND f.v < 300",
+       OptimizerPath::kMySql},
       {"group_by_high_card",
        "SELECT l_orderkey, SUM(l_quantity) FROM li GROUP BY l_orderkey",
        OptimizerPath::kMySql},

@@ -300,6 +300,195 @@ class BatchHashJoinProbe : public BatchOp {
   size_t cand_pos_ = 0;
 };
 
+/// Vectorized index nested-loop join: an inner/cross kNLJoin whose right
+/// child is a kIndexLookup ("ref" access). Lookup keys are evaluated once
+/// per outer batch; each outer row, in selection order, probes the index
+/// (one index_lookups count, NULL keys included) and its (outer, inner)
+/// pairs are appended to a bounded output batch — resumably, so one outer
+/// row may span several output batches. Candidates are charged as scanned
+/// before any filter; the lookup's pushed-down filters and then the join's
+/// conds run as FilterBatch passes. Output order, rows_scanned and
+/// index_lookups therefore equal NLJoinIter over IndexLookupIter, and the
+/// lookup leaf's actuals are recorded under its own PhysOp exactly as its
+/// AnalyzeIter wrapper would (loops = probes, rows = rows past filters).
+class BatchIndexNLJoin : public BatchOp {
+ public:
+  BatchIndexNLJoin(const PhysOp* op, std::unique_ptr<BatchOp> child)
+      : op_(op),
+        lookup_(op->right.get()),
+        outer_refs_(SubtreeRefs(*op->child)),
+        inner_slot_(static_cast<size_t>(op->right->leaf->ref_id)),
+        child_(std::move(child)) {}
+
+  Status Open(Frame* frame, ExecContext* ctx) override {
+    OpTimer t(op_, ctx);
+    data_ = ctx->storage->Get(lookup_->leaf->table->id);
+    if (data_ == nullptr || lookup_->index_id < 0 ||
+        lookup_->index_id >= data_->NumIndexes()) {
+      return Status::Internal("bad index lookup target");
+    }
+    index_ = &data_->index(lookup_->index_id);
+    TAURUS_RETURN_IF_ERROR(child_->Open(frame, ctx));
+    out_.Reset(frame->size(), frame);
+    for (int r : outer_refs_) out_.Activate(r);
+    out_.Activate(lookup_->leaf->ref_id);
+    outer_rows_.resize(outer_refs_.size());
+    cap_ = std::max<int64_t>(1, ctx->batch_size);
+    in_ = nullptr;
+    in_pos_ = 0;
+    pos_ = end_ = 0;
+    t.RecordOpen();
+    return Status::OK();
+  }
+
+  Result<Batch*> NextBatch(ExecContext* ctx) override {
+    OpTimer t(op_, ctx);
+    while (true) {
+      ResetOut();
+      const bool analyze = ctx->op_actuals != nullptr;
+      const double t0 = analyze ? ctx->analyze_clock->NowMs() : 0.0;
+      probes_ = 0;
+      outer_ms_ = 0.0;
+      TAURUS_ASSIGN_OR_RETURN(bool more, FillOut(ctx));
+      // Every candidate counts as scanned before any filter sees it, as
+      // IndexLookupIter charges each row it reads.
+      TAURUS_RETURN_IF_ERROR(
+          ctx->ChargeScannedRows(static_cast<int64_t>(out_.size)));
+      TAURUS_RETURN_IF_ERROR(FilterBatch(lookup_->filters, &out_, ctx));
+      if (analyze && (probes_ > 0 || !out_.sel.empty())) {
+        OpActual& a = ctx->op_actuals->At(lookup_);
+        a.loops += probes_;
+        a.rows += static_cast<int64_t>(out_.sel.size());
+        a.time_ms += ctx->analyze_clock->NowMs() - t0 - outer_ms_;
+      }
+      TAURUS_RETURN_IF_ERROR(FilterBatch(op_->conds, &out_, ctx));
+      if (!out_.sel.empty()) {
+        t.RecordRows(static_cast<int64_t>(out_.sel.size()));
+        return &out_;
+      }
+      if (!more) {
+        t.RecordRows(0);
+        return nullptr;
+      }
+    }
+  }
+
+ private:
+  void ResetOut() {
+    for (int r : outer_refs_) out_.cols[static_cast<size_t>(r)].clear();
+    out_.cols[inner_slot_].clear();
+    out_.sel.clear();
+    out_.size = 0;
+  }
+
+  /// Fills the output batch with up to cap_ candidate pairs. Returns false
+  /// when the outer input is exhausted (a partial batch may remain).
+  Result<bool> FillOut(ExecContext* ctx) {
+    while (static_cast<int64_t>(out_.size) < cap_) {
+      if (pos_ < end_) {
+        AppendRun();
+        continue;
+      }
+      if (in_ == nullptr || in_pos_ >= in_->sel.size()) {
+        const double t0 =
+            ctx->op_actuals != nullptr ? ctx->analyze_clock->NowMs() : 0.0;
+        TAURUS_ASSIGN_OR_RETURN(Batch* nb, child_->NextBatch(ctx));
+        if (ctx->op_actuals != nullptr) {
+          outer_ms_ += ctx->analyze_clock->NowMs() - t0;
+        }
+        if (nb == nullptr) {
+          in_ = nullptr;
+          return false;
+        }
+        in_ = nb;
+        in_pos_ = 0;
+        TAURUS_RETURN_IF_ERROR(PrepareInput(ctx));
+      }
+      Probe(ctx);
+    }
+    return true;
+  }
+
+  /// Evaluates the lookup keys over the newly pulled outer batch.
+  Status PrepareInput(ExecContext* ctx) {
+    const size_t nk = lookup_->lookup_keys.size();
+    keys_.resize(nk);
+    for (size_t k = 0; k < nk; ++k) {
+      TAURUS_RETURN_IF_ERROR(
+          EvalExprBatch(*lookup_->lookup_keys[k], *in_, ctx, &keys_[k]));
+    }
+    key_.resize(nk);
+    return Status::OK();
+  }
+
+  /// Probes the index for the next outer row and captures its outer slots.
+  void Probe(ExecContext* ctx) {
+    const size_t i = in_pos_++;
+    ++ctx->index_lookups;
+    ++probes_;
+    pos_ = end_ = 0;
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      if (keys_[k][i].is_null()) return;  // equality with NULL never matches
+      key_[k] = std::move(keys_[k][i]);  // each entry is probed once
+    }
+    auto [b, e] = index_->EqualRange(key_);
+    pos_ = b;
+    end_ = e;
+    const uint32_t prow = in_->sel[i];
+    for (size_t j = 0; j < outer_refs_.size(); ++j) {
+      const size_t slot = static_cast<size_t>(outer_refs_[j]);
+      outer_rows_[j] =
+          in_->active[slot] != 0
+              ? in_->cols[slot][prow]
+              : (in_->base != nullptr ? (*in_->base)[slot] : nullptr);
+    }
+  }
+
+  /// Appends as many of the current outer row's matches as fit.
+  void AppendRun() {
+    const size_t n = std::min(end_ - pos_, static_cast<size_t>(cap_) -
+                                               out_.size);
+    for (size_t j = 0; j < outer_refs_.size(); ++j) {
+      std::vector<const Row*>& col =
+          out_.cols[static_cast<size_t>(outer_refs_[j])];
+      col.insert(col.end(), n, outer_rows_[j]);
+    }
+    std::vector<const Row*>& inner = out_.cols[inner_slot_];
+    for (size_t p = pos_; p < pos_ + n; ++p) {
+      inner.push_back(&data_->row(index_->row_id(p)));
+    }
+    for (size_t p = 0; p < n; ++p) {
+      out_.sel.push_back(static_cast<uint32_t>(out_.size + p));
+    }
+    out_.size += n;
+    pos_ += n;
+  }
+
+  const PhysOp* op_;
+  const PhysOp* lookup_;
+  std::vector<int> outer_refs_;
+  size_t inner_slot_;
+  std::unique_ptr<BatchOp> child_;
+  const TableData* data_ = nullptr;
+  const OrderedIndex* index_ = nullptr;
+
+  Batch out_;
+  int64_t cap_ = 1;
+  // Lookup-leaf actuals of the current NextBatch: probes made, and time
+  // spent pulling the outer side (not the lookup's own time).
+  int64_t probes_ = 0;
+  double outer_ms_ = 0.0;
+
+  // Outer-input cursor and the current outer row's match run [pos_, end_)
+  // (survive across NextBatch calls).
+  Batch* in_ = nullptr;
+  size_t in_pos_ = 0;
+  size_t pos_ = 0, end_ = 0;
+  std::vector<const Row*> outer_rows_;    ///< per outer ref, current row
+  std::vector<std::vector<Value>> keys_;  ///< per key expr, per sel entry
+  Row key_;                               ///< reused probe key
+};
+
 /// Frame->Batch adapter: drives a Volcano subtree row by row and buffers
 /// its slots into batches so everything above runs vectorized. Only valid
 /// over subtrees whose row pointers stay put while buffered (no
@@ -426,6 +615,14 @@ std::unique_ptr<BatchOp> BuildBatchOp(const PhysOp* op, ExecContext* ctx,
       return std::make_unique<BatchHashJoinProbe>(op, std::move(child),
                                                   std::move(build), nullptr);
     }
+    case PhysOp::Kind::kNLJoin: {
+      if (!IndexNLJoinBatchNative(*op)) break;
+      std::unique_ptr<BatchOp> child =
+          BuildBatchOp(op->child.get(), ctx, shared, strict, chain);
+      if (child == nullptr) return nullptr;
+      ++chain->native_ops;
+      return std::make_unique<BatchIndexNLJoin>(op, std::move(child));
+    }
     default:
       break;
   }
@@ -496,6 +693,13 @@ bool HashJoinBatchNative(const PhysOp& op) {
     default:
       return false;  // semi/anti need interleaved matched-tracking
   }
+}
+
+bool IndexNLJoinBatchNative(const PhysOp& op) {
+  return op.kind == PhysOp::Kind::kNLJoin &&
+         (op.join_type == JoinType::kInner ||
+          op.join_type == JoinType::kCross) &&
+         op.right->kind == PhysOp::Kind::kIndexLookup;
 }
 
 BatchChain BuildBatchChain(const PhysOp* op, ExecContext* ctx,

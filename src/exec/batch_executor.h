@@ -5,9 +5,11 @@
 // Volcano executor runs. Operators pull column-major Batches of up to
 // ExecContext::batch_size rows; filters shrink the selection vector in
 // place, hash-join probes hash whole key vectors against the shared build
-// state, and a Batch<->Frame adapter pair keeps every operator the batch
-// engine does not speak (nested-loop joins, index scans, derived scans)
-// on the row-at-a-time path. See DESIGN.md section 13.
+// state, index nested-loop joins probe once per outer row and filter their
+// candidates as batches, and a Batch<->Frame adapter pair keeps every
+// operator the batch engine does not speak (other nested-loop joins, index
+// scans, derived scans) on the row-at-a-time path. See DESIGN.md
+// section 13.
 
 #include <memory>
 
@@ -76,6 +78,14 @@ struct BatchChain {
 /// the Volcano path. Shared with refine-time AnalyzeBatchSafety so the
 /// surfaced flags and the runtime chain builder never disagree.
 bool HashJoinBatchNative(const PhysOp& op);
+
+/// True when this nested-loop join runs vectorized (BatchIndexNLJoin): an
+/// inner/cross join whose right child is an index lookup, probed once per
+/// outer row. Left/semi/anti joins need per-row matched-tracking, and other
+/// inner sides re-run a whole subtree per outer row, so both stay on the
+/// Volcano path. Shared with refine-time AnalyzeBatchSafety like
+/// HashJoinBatchNative.
+bool IndexNLJoinBatchNative(const PhysOp& op);
 
 /// Builds a batch pipeline over `op`'s driving chain.
 ///

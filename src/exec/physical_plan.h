@@ -71,9 +71,10 @@ struct PhysOp {
   CardSource card_source = CardSource::kHistogram;
 
   /// True when this operator has a vectorized (batch-at-a-time)
-  /// implementation: table scans, filters, and hash-join probes of
-  /// batchable shape (see HashJoinBatchNative). Set by refine-time
-  /// AnalyzeBatchSafety; surfaced in EXPLAIN.
+  /// implementation: table scans, filters, hash-join probes of batchable
+  /// shape (see HashJoinBatchNative), and index nested-loop joins with
+  /// their index-lookup inner side (see IndexNLJoinBatchNative). Set by
+  /// refine-time AnalyzeBatchSafety; surfaced in EXPLAIN.
   bool batch_native = false;
   /// Why the operator stays row-at-a-time ("" when batch_native).
   std::string batch_serial_reason;

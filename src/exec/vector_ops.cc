@@ -343,10 +343,24 @@ Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
   return EvalRowsViaFrame(e, be, rows, n, out);
 }
 
-/// Copy-free kernel for `col <cmp> literal` (either operand order) and
-/// `col BETWEEN lit AND lit`: compares storage rows in place, keeping rows
-/// whose comparison is non-NULL true. Returns false when the shape does
-/// not match (generic path handles it).
+/// Whether a three-way comparison result `c` satisfies comparison `op`.
+bool CmpPasses(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq: return c == 0;
+    case BinaryOp::kNe: return c != 0;
+    case BinaryOp::kLt: return c < 0;
+    case BinaryOp::kLe: return c <= 0;
+    case BinaryOp::kGt: return c > 0;
+    case BinaryOp::kGe: return c >= 0;
+    default: return false;
+  }
+}
+
+/// Copy-free kernel for `col <cmp> literal` (either operand order),
+/// `col <cmp> col` over two active slots, and `col BETWEEN lit AND lit`:
+/// compares storage rows in place, keeping rows whose comparison is
+/// non-NULL true (a NULL value or NULL-extended row never passes). Returns
+/// false when the shape does not match (generic path handles it).
 bool TryFastColCmpFilter(const Expr& e, Batch* b) {
   auto col_ok = [&](const Expr& c) {
     return c.kind == Expr::Kind::kColumnRef && c.ref_id >= 0 &&
@@ -356,6 +370,27 @@ bool TryFastColCmpFilter(const Expr& e, Batch* b) {
   if (e.kind == Expr::Kind::kBinary && IsComparisonOp(e.bop)) {
     const Expr& c0 = *e.children[0];
     const Expr& c1 = *e.children[1];
+    const BinaryOp op = e.bop;
+    if (col_ok(c0) && col_ok(c1)) {
+      const std::vector<const Row*>& lp =
+          b->cols[static_cast<size_t>(c0.ref_id)];
+      const std::vector<const Row*>& rp =
+          b->cols[static_cast<size_t>(c1.ref_id)];
+      const size_t lcol = static_cast<size_t>(c0.column_idx);
+      const size_t rcol = static_cast<size_t>(c1.column_idx);
+      size_t w = 0;
+      for (uint32_t r : b->sel) {
+        const Row* lrow = lp[r];
+        const Row* rrow = rp[r];
+        if (lrow == nullptr || rrow == nullptr) continue;
+        const Value& lv = (*lrow)[lcol];
+        const Value& rv = (*rrow)[rcol];
+        if (lv.is_null() || rv.is_null()) continue;
+        if (CmpPasses(op, Value::Compare(lv, rv))) b->sel[w++] = r;
+      }
+      b->sel.resize(w);
+      return true;
+    }
     const bool col_left = col_ok(c0) && c1.kind == Expr::Kind::kLiteral;
     const bool col_right =
         !col_left && c0.kind == Expr::Kind::kLiteral && col_ok(c1);
@@ -368,7 +403,6 @@ bool TryFastColCmpFilter(const Expr& e, Batch* b) {
     }
     const std::vector<const Row*>& cp = b->cols[static_cast<size_t>(cr.ref_id)];
     const size_t col = static_cast<size_t>(cr.column_idx);
-    const BinaryOp op = e.bop;
     size_t w = 0;
     for (uint32_t r : b->sel) {
       const Row* rw = cp[r];
@@ -376,17 +410,7 @@ bool TryFastColCmpFilter(const Expr& e, Batch* b) {
       const Value& v = (*rw)[col];
       if (v.is_null()) continue;
       const int c = col_left ? Value::Compare(v, lit) : Value::Compare(lit, v);
-      bool pass = false;
-      switch (op) {
-        case BinaryOp::kEq: pass = c == 0; break;
-        case BinaryOp::kNe: pass = c != 0; break;
-        case BinaryOp::kLt: pass = c < 0; break;
-        case BinaryOp::kLe: pass = c <= 0; break;
-        case BinaryOp::kGt: pass = c > 0; break;
-        case BinaryOp::kGe: pass = c >= 0; break;
-        default: break;
-      }
-      if (pass) b->sel[w++] = r;
+      if (CmpPasses(op, c)) b->sel[w++] = r;
     }
     b->sel.resize(w);
     return true;

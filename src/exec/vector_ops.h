@@ -23,8 +23,9 @@ Status EvalExprBatch(const Expr& expr, const Batch& batch, ExecContext* ctx,
 
 /// Applies each conjunct over the batch, shrinking `batch->sel` in place to
 /// the rows where the conjunct is non-NULL true before evaluating the next
-/// one — the vectorized form of short-circuit AND. Column-vs-literal
-/// comparisons (and BETWEEN) take a copy-free compare kernel.
+/// one — the vectorized form of short-circuit AND. Column-vs-literal and
+/// column-vs-column comparisons (and BETWEEN) take a copy-free compare
+/// kernel.
 Status FilterBatch(const std::vector<const Expr*>& conds, Batch* batch,
                    ExecContext* ctx);
 

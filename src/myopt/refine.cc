@@ -288,7 +288,14 @@ void MarkBatchNative(PhysOp* op) {
       }
       break;
     case PhysOp::Kind::kNLJoin:
-      op->batch_serial_reason = "nested-loop join";
+      if (IndexNLJoinBatchNative(*op)) {
+        // The lookup runs inside the vectorized join, probed per outer row.
+        op->batch_native = true;
+        op->right->batch_native = true;
+        op->right->batch_serial_reason.clear();
+      } else {
+        op->batch_serial_reason = "nested-loop join";
+      }
       break;
     case PhysOp::Kind::kIndexRange:
       op->batch_serial_reason = "index-range scan (ordered)";

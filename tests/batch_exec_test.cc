@@ -2,8 +2,9 @@
 // Volcano executor across every TPC-H and TPC-DS query on both optimizer
 // paths, under serial and morsel-parallel execution, across a batch-size
 // sweep that includes the degenerate size 1; selection-vector edge cases
-// (all-pass / all-fail / alternating NULLs); and EXPLAIN ANALYZE actuals
-// staying identical when rows move in batches.
+// (all-pass / all-fail / alternating NULLs, column-vs-column compares);
+// vectorized index nested-loop join edge cases; and EXPLAIN ANALYZE
+// actuals staying identical when rows move in batches.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/expr_eval.h"
+#include "exec/vector_ops.h"
 #include "workloads/tpcds.h"
 #include "workloads/tpch.h"
 
@@ -170,23 +173,55 @@ TEST_F(TpchBatchTest, ExplainShowsBatchEligibility) {
 
 /// EXPLAIN ANALYZE actuals (rows, loops, q-error) must be unchanged by
 /// batching; only timings may differ. Compare the JSON dumps with time
-/// fields scrubbed.
+/// fields scrubbed. Q12, Q14 and Q19 on the MySQL path and Q10 on the Orca
+/// path run index nested-loop joins, whose inner lookup records its own
+/// actuals (loops = probes, rows = rows past its filters).
 TEST_F(TpchBatchTest, AnalyzeActualsUnchangedUnderBatchMode) {
   const std::regex time_re("\"(time_ms|execute_ms|optimize_ms)\": [0-9.]+");
-  for (size_t qi : {0ul, 5ul, 2ul}) {  // Q1, Q6, Q3 shapes
-    SCOPED_TRACE("query #" + std::to_string(qi + 1));
+  const std::regex native_nlj(
+      "\"op\": \"nested_loop_join\"[^{]*\"batch_native\": true");
+  const struct {
+    size_t qi;
+    OptimizerPath path;
+    bool index_nlj;
+  } cases[] = {{0, OptimizerPath::kMySql, false},
+               {5, OptimizerPath::kMySql, false},
+               {2, OptimizerPath::kMySql, false},
+               {11, OptimizerPath::kMySql, true},
+               {13, OptimizerPath::kMySql, true},
+               {18, OptimizerPath::kMySql, true},
+               {9, OptimizerPath::kOrca, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("query #" + std::to_string(c.qi + 1) +
+                 (c.path == OptimizerPath::kOrca ? " orca" : " mysql"));
     Configure(db(), 1, /*batch=*/false, 1024);
-    auto volcano = db()->ExplainAnalyzeJsonDump(TpchQueries()[qi],
-                                                OptimizerPath::kMySql);
+    auto volcano = db()->ExplainAnalyzeJsonDump(TpchQueries()[c.qi], c.path);
     ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
     Configure(db(), 1, /*batch=*/true, 1024);
-    auto batch = db()->ExplainAnalyzeJsonDump(TpchQueries()[qi],
-                                              OptimizerPath::kMySql);
+    auto batch = db()->ExplainAnalyzeJsonDump(TpchQueries()[c.qi], c.path);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     EXPECT_EQ(std::regex_replace(*batch, time_re, "\"$1\": X"),
               std::regex_replace(*volcano, time_re, "\"$1\": X"));
+    if (c.index_nlj) {
+      EXPECT_TRUE(std::regex_search(*batch, native_nlj)) << *batch;
+    }
   }
   Configure(db(), 1, /*batch=*/true, 1024);
+}
+
+TEST_F(TpchBatchTest, MySqlIndexNestedLoopQueriesExplainBatched) {
+  for (size_t qi : {11ul, 13ul, 18ul}) {  // Q12, Q14, Q19
+    SCOPED_TRACE("query #" + std::to_string(qi + 1));
+    auto text = db()->Explain(TpchQueries()[qi], OptimizerPath::kMySql);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_NE(text->find("Nested loop inner join"), std::string::npos)
+        << *text;
+    EXPECT_NE(text->find("Index lookup on lineitem"), std::string::npos)
+        << *text;
+    EXPECT_NE(text->find("Batch pipeline (vectorized eligible)"),
+              std::string::npos)
+        << *text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -287,11 +322,213 @@ TEST_F(SelectionEdgeTest, AlternatingNulls) {
   CheckBoth("SELECT id FROM t WHERE v IN (1, 3, NULL)");
 }
 
+TEST_F(SelectionEdgeTest, ColumnVsColumnCompare) {
+  // v is NULL on even rows: NULL on the left, then on the right.
+  CheckBoth("SELECT COUNT(*), SUM(id) FROM t WHERE v < id");
+  CheckBoth("SELECT COUNT(*), SUM(id) FROM t WHERE id >= v");
+  CheckBoth("SELECT id FROM t WHERE v = v");
+  CheckBoth("SELECT id FROM t WHERE v <> id AND id > 100");
+  CheckBoth(
+      "SELECT a.id, b.id FROM t a, t b WHERE a.id = b.id AND a.v <= b.v");
+}
+
+/// The column-vs-column kernel over a hand-built batch whose slots hold
+/// NULL-extended rows (null pointers, as a left join emits) and NULL
+/// values, checked row by row against the scalar interpreter. SQL cannot
+/// put a NULL-extended row under a bare comparison: a WHERE comparison
+/// turns the left join into an inner join.
+TEST_F(SelectionEdgeTest, ColumnVsColumnOverNullExtendedRows) {
+  std::vector<Row> lrows, rrows;
+  for (int i = 0; i < 12; ++i) {
+    lrows.push_back({i % 4 == 0 ? Value::Null() : Value::Int(i % 5)});
+    rrows.push_back({i % 3 == 0 ? Value::Null() : Value::Int(i % 4)});
+  }
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    auto lcol = MakeColumnRef("l", "x");
+    lcol->ref_id = 0;
+    lcol->column_idx = 0;
+    auto rcol = MakeColumnRef("r", "y");
+    rcol->ref_id = 1;
+    rcol->column_idx = 0;
+    auto cmp = MakeBinary(op, std::move(lcol), std::move(rcol));
+    Frame base(2, nullptr);
+    Batch b;
+    b.Reset(2, &base);
+    b.Activate(0);
+    b.Activate(1);
+    std::vector<uint32_t> want;
+    ExecContext ctx;
+    for (size_t i = 0; i < lrows.size(); ++i) {
+      // Every fifth row is NULL-extended on the left, every seventh on the
+      // right.
+      const Row* l = i % 5 == 4 ? nullptr : &lrows[i];
+      const Row* r = i % 7 == 6 ? nullptr : &rrows[i];
+      b.cols[0].push_back(l);
+      b.cols[1].push_back(r);
+      b.sel.push_back(static_cast<uint32_t>(i));
+      ++b.size;
+      Frame f{l, r};
+      auto v = EvalExpr(*cmp, f, nullptr, &ctx);
+      ASSERT_TRUE(v.ok());
+      if (!v->is_null() && v->IsTrue()) {
+        want.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    ASSERT_TRUE(FilterBatch({cmp.get()}, &b, &ctx).ok());
+    EXPECT_EQ(b.sel, want) << "op " << static_cast<int>(op);
+  }
+}
+
 TEST_F(SelectionEdgeTest, LastBatchPartialFill) {
   // 257 rows with batch sizes 1/3/4096 exercises short final batches and
   // single-row batches; the join doubles as a probe-side boundary check.
   CheckBoth(
       "SELECT a.id, b.v FROM t a, t b WHERE a.id = b.id AND a.v > 3");
+}
+
+// ---------------------------------------------------------------------------
+// Index nested-loop join edge cases
+// ---------------------------------------------------------------------------
+
+/// Own tiny engine for the vectorized index nested-loop join: `o` drives,
+/// `i` is probed through its index on `k`. One key (k = 1) has ten matches,
+/// so batch sizes 1 and 3 split a single outer row's run across output
+/// batches; NULL keys sit on both sides.
+class IndexNLJoinEdgeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>();
+    ASSERT_TRUE(
+        db_->ExecuteSql("CREATE TABLE o (id INT NOT NULL PRIMARY KEY, k INT)")
+            .ok());
+    ASSERT_TRUE(db_->ExecuteSql("CREATE TABLE i (id INT NOT NULL PRIMARY "
+                                "KEY, k INT, v INT)")
+                    .ok());
+    ASSERT_TRUE(db_->ExecuteSql("CREATE INDEX i_k ON i (k)").ok());
+    ASSERT_TRUE(
+        db_->ExecuteSql("CREATE TABLE p (id INT NOT NULL PRIMARY KEY)").ok());
+    std::vector<Row> o;
+    const int okeys[] = {1, 2, -1, 1, 3, -1, 7};
+    for (int j = 0; j < 7; ++j) {
+      o.push_back({Value::Int(j), okeys[j] < 0 ? Value::Null()
+                                                : Value::Int(okeys[j])});
+    }
+    ASSERT_TRUE(db_->BulkLoad("o", std::move(o)).ok());
+    std::vector<Row> in;
+    for (int j = 0; j < 400; ++j) {
+      Value k;
+      if (j < 10) {
+        k = Value::Int(1);  // ten matches for outer k = 1
+      } else if (j < 14) {
+        k = Value::Int(2);
+      } else if (j < 20) {
+        k = Value::Null();
+      } else {
+        k = Value::Int(3 + j % 97);
+      }
+      in.push_back({Value::Int(j), std::move(k),
+                    j % 6 == 0 ? Value::Null() : Value::Int(j % 7)});
+    }
+    ASSERT_TRUE(db_->BulkLoad("i", std::move(in)).ok());
+    std::vector<Row> p;
+    for (int j = 0; j < 5; ++j) p.push_back({Value::Int(j)});
+    ASSERT_TRUE(db_->BulkLoad("p", std::move(p)).ok());
+    ASSERT_TRUE(db_->AnalyzeAll().ok());
+  }
+
+  /// Runs `sql` in Volcano mode, then batched at sizes 1, 3 and 4096,
+  /// asserting equal rows, rows_scanned and index_lookups, and that the
+  /// plan probes `i` through its index.
+  void CheckBoth(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    auto plan = db_->Explain(sql, OptimizerPath::kMySql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find("Index lookup on i using i_k"), std::string::npos)
+        << *plan;
+    Configure(db_.get(), 1, /*batch=*/false, 1024);
+    auto volcano = db_->Query(sql, OptimizerPath::kMySql);
+    ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+    EXPECT_GT(volcano->index_lookups, 0);
+    for (int64_t bs : {int64_t{1}, int64_t{3}, int64_t{4096}}) {
+      SCOPED_TRACE("batch_size=" + std::to_string(bs));
+      Configure(db_.get(), 1, /*batch=*/true, bs);
+      auto batch = db_->Query(sql, OptimizerPath::kMySql);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      EXPECT_EQ(RowsText(batch->rows), RowsText(volcano->rows));
+      EXPECT_EQ(batch->rows_scanned, volcano->rows_scanned);
+      EXPECT_EQ(batch->index_lookups, volcano->index_lookups);
+      EXPECT_GT(batch->batch_pipelines, 0);
+    }
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(IndexNLJoinEdgeTest, MatchRunLongerThanBatch) {
+  const std::string sql = "SELECT o.id, i.id, i.v FROM o, i WHERE i.k = o.k";
+  CheckBoth(sql);
+  auto plan = db_->Explain(sql, OptimizerPath::kMySql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("Batch pipeline (vectorized eligible)"),
+            std::string::npos)
+      << *plan;
+  // Emission order is the Volcano order, not just the same multiset.
+  Configure(db_.get(), 1, /*batch=*/false, 1024);
+  auto volcano = db_->Query(sql, OptimizerPath::kMySql);
+  Configure(db_.get(), 1, /*batch=*/true, 3);
+  auto batch = db_->Query(sql, OptimizerPath::kMySql);
+  ASSERT_TRUE(volcano.ok() && batch.ok());
+  EXPECT_EQ(batch->rows, volcano->rows);
+  CheckBoth("SELECT COUNT(*), SUM(i.v) FROM o, i WHERE i.k = o.k");
+}
+
+TEST_F(IndexNLJoinEdgeTest, NullKeysProbeButNeverMatch) {
+  // Outer rows 2 and 5 have NULL keys: each still counts one lookup.
+  const std::string sql = "SELECT o.id, i.id FROM o, i WHERE i.k = o.k";
+  Configure(db_.get(), 1, /*batch=*/true, 1024);
+  auto res = db_->Query(sql, OptimizerPath::kMySql);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->index_lookups, 7);
+  for (const Row& r : res->rows) {
+    EXPECT_NE(r[0].AsInt(), 2);
+    EXPECT_NE(r[0].AsInt(), 5);
+  }
+  CheckBoth(sql);
+}
+
+TEST_F(IndexNLJoinEdgeTest, LookupFiltersAndJoinConditions) {
+  // Pushed-down lookup filters (i.v > 2), then a join condition between
+  // both sides (o.id <> i.v, a column-vs-column compare).
+  CheckBoth(
+      "SELECT o.id, i.id FROM o, i WHERE i.k = o.k AND i.v > 2 AND "
+      "o.id <> i.v");
+  CheckBoth(
+      "SELECT o.id, COUNT(*) FROM o, i WHERE i.k = o.k AND i.v IS NULL "
+      "GROUP BY o.id");
+}
+
+TEST_F(IndexNLJoinEdgeTest, KeyFromOuterBindingInCorrelatedSubplan) {
+  // Inside the scalar subquery, i is probed with o.k + p.id: o.k is a
+  // slot bound by the outer block, read from the batch's base frame and
+  // re-bound for every outer row; p.id comes from the batch itself.
+  CheckBoth(
+      "SELECT o.id, (SELECT SUM(i.v) FROM p, i WHERE i.k = o.k + p.id) "
+      "FROM o");
+  CheckBoth(
+      "SELECT o.id, (SELECT COUNT(*) FROM p, i WHERE i.k = o.k + p.id AND "
+      "i.v > p.id) FROM o WHERE o.id < 6");
+}
+
+TEST_F(IndexNLJoinEdgeTest, CrossJoinWithEmptyConds) {
+  // p and i share no condition: every p row probes i with the constant
+  // key, and the join has no conds to apply.
+  const std::string sql = "SELECT p.id, i.id FROM p, i WHERE i.k = 1";
+  auto plan = db_->Explain(sql, OptimizerPath::kMySql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("Nested loop inner join (cost"), std::string::npos)
+      << *plan;
+  CheckBoth(sql);
 }
 
 }  // namespace
