@@ -406,19 +406,6 @@ class ExplainRenderer {
   const ExplainAnalyzeData* analyze_;
 };
 
-const char* OpKindName(PhysOp::Kind kind) {
-  switch (kind) {
-    case PhysOp::Kind::kTableScan: return "table_scan";
-    case PhysOp::Kind::kIndexRange: return "index_range";
-    case PhysOp::Kind::kIndexLookup: return "index_lookup";
-    case PhysOp::Kind::kDerivedScan: return "derived_scan";
-    case PhysOp::Kind::kFilter: return "filter";
-    case PhysOp::Kind::kNLJoin: return "nested_loop_join";
-    case PhysOp::Kind::kHashJoin: return "hash_join";
-  }
-  return "unknown";
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -496,7 +483,7 @@ class AnalyzeJsonWriter {
   void WriteOp(const PhysOp& op, std::string* out) {
     char buf[96];
     *out += "{\"op\": \"";
-    *out += OpKindName(op.kind);
+    *out += PhysOpKindName(op.kind);
     *out += "\"";
     if (op.leaf != nullptr) {
       *out += ", \"alias\": \"" + JsonEscape(op.leaf->alias) + "\"";

@@ -44,6 +44,9 @@ struct PhysOp {
   /// kIndexLookup: expressions (over already-bound leaves) supplying each
   /// key column value; size <= number of index key columns.
   std::vector<const Expr*> lookup_keys;
+  /// The leaf access the skeleton prescribed, as plan refinement received
+  /// it. The block verifier (B005) flags a leaf whose `kind` differs.
+  Kind prescribed = Kind::kTableScan;
 
   // kDerivedScan
   BlockPlan* derived_plan = nullptr;
@@ -91,6 +94,21 @@ struct PhysOp {
     }
   }
 };
+
+/// Stable snake_case name of an operator kind ("table_scan", "hash_join"),
+/// used by EXPLAIN's JSON form and plan-verifier diagnostics.
+inline const char* PhysOpKindName(PhysOp::Kind kind) {
+  switch (kind) {
+    case PhysOp::Kind::kTableScan: return "table_scan";
+    case PhysOp::Kind::kIndexRange: return "index_range";
+    case PhysOp::Kind::kIndexLookup: return "index_lookup";
+    case PhysOp::Kind::kDerivedScan: return "derived_scan";
+    case PhysOp::Kind::kFilter: return "filter";
+    case PhysOp::Kind::kNLJoin: return "nested_loop_join";
+    case PhysOp::Kind::kHashJoin: return "hash_join";
+  }
+  return "unknown";
+}
 
 /// Aggregate computation mode chosen during plan refinement.
 enum class AggMode { kNone, kHash, kStream };

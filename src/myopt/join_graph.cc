@@ -14,14 +14,14 @@ void CollectLeavesOf(TableRef* ref, std::vector<TableRef*>* out) {
 }
 
 uint64_t JoinGraph::UnitMaskOf(const Expr& e, int num_refs) const {
-  std::vector<bool> refs(static_cast<size_t>(num_refs), false);
-  CollectReferencedRefs(e, &refs);
   uint64_t mask = 0;
-  for (int r = 0; r < num_refs; ++r) {
-    if (!refs[static_cast<size_t>(r)]) continue;
-    auto it = unit_of_ref.find(r);
-    if (it != unit_of_ref.end()) mask |= 1ULL << it->second;
-  }
+  AllReferencedRefs(e, [&](int ref_id) {
+    auto it = unit_of_ref.find(ref_id);
+    if (ref_id < num_refs && it != unit_of_ref.end()) {
+      mask |= 1ULL << it->second;
+    }
+    return true;
+  });
   return mask;
 }
 

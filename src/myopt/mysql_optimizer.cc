@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "frontend/normalize.h"
+#include "myopt/access_path.h"
 #include "myopt/join_graph.h"
 #include "parser/ast_util.h"
 
@@ -103,32 +104,6 @@ void CollectBlockSubqueries(const QueryBlock& block,
   }
 }
 
-/// Finds the column side of `eq` that belongs to `leaf`, with the other
-/// side's block-local references confined to `avail_mask` units. Returns
-/// the column index or -1.
-int LookupKeyColumn(const Expr& eq, const TableRef& leaf,
-                    const JoinGraph& graph, uint64_t avail_mask,
-                    int num_refs) {
-  if (eq.kind != Expr::Kind::kBinary || eq.bop != BinaryOp::kEq) return -1;
-  for (int side = 0; side < 2; ++side) {
-    const Expr& col = *eq.children[static_cast<size_t>(side)];
-    const Expr& other = *eq.children[static_cast<size_t>(1 - side)];
-    if (col.kind != Expr::Kind::kColumnRef || col.ref_id != leaf.ref_id) {
-      continue;
-    }
-    uint64_t other_mask = graph.UnitMaskOf(other, num_refs);
-    if ((other_mask & ~avail_mask) != 0) continue;
-    // The other side must not also reference this leaf.
-    auto it = graph.unit_of_ref.find(leaf.ref_id);
-    if (it != graph.unit_of_ref.end() &&
-        (other_mask & (1ULL << it->second)) != 0) {
-      continue;
-    }
-    return col.column_idx;
-  }
-  return -1;
-}
-
 }  // namespace
 
 MySqlOptimizer::MySqlOptimizer(const Catalog& catalog, BoundStatement* stmt,
@@ -143,102 +118,21 @@ Result<std::unique_ptr<BlockSkeleton>> MySqlOptimizer::Optimize() {
 }
 
 MySqlOptimizer::Planned MySqlOptimizer::PlanLeaf(
-    TableRef* leaf, const std::vector<Expr*>& local_conds) {
+    TableRef* leaf, const std::vector<Expr*>& local_conds, RefPredicate outer) {
   Planned out;
   double base_rows = stats_.LeafBaseRows(*leaf);
   double sel = 1.0;
   for (const Expr* c : local_conds) sel *= stats_.ConjunctSelectivity(*c);
   sel = std::clamp(sel, 0.0, 1.0);
 
+  LeafAccess access =
+      ChooseLeafAccess(*leaf, local_conds, base_rows, stats_, params_, outer);
   auto node = std::make_unique<SkeletonNode>();
   node->is_join = false;
   node->leaf = leaf;
-  node->access = AccessMethod::kTableScan;
-  out.cost = base_rows * params_.seq_row;
-
-  // Cost-based range access: a local `col <op> const` conjunct whose column
-  // is the first key column of some index.
-  if (leaf->kind == TableRef::Kind::kBase && leaf->table != nullptr) {
-    for (const Expr* c : local_conds) {
-      if (c->kind != Expr::Kind::kBinary && c->kind != Expr::Kind::kBetween) {
-        continue;
-      }
-      const Expr* col = nullptr;
-      if (c->kind == Expr::Kind::kBetween) {
-        col = c->children[0].get();
-        if (c->negated) continue;
-      } else {
-        if (!IsComparisonOp(c->bop) || c->bop == BinaryOp::kNe) continue;
-        if (c->children[0]->kind == Expr::Kind::kColumnRef &&
-            c->children[0]->ref_id == leaf->ref_id) {
-          col = c->children[0].get();
-        } else if (c->children[1]->kind == Expr::Kind::kColumnRef &&
-                   c->children[1]->ref_id == leaf->ref_id) {
-          col = c->children[1].get();
-        }
-      }
-      if (col == nullptr || col->kind != Expr::Kind::kColumnRef) continue;
-      for (size_t i = 0; i < leaf->table->indexes.size(); ++i) {
-        if (leaf->table->indexes[i].column_idx.empty() ||
-            leaf->table->indexes[i].column_idx[0] != col->column_idx) {
-          continue;
-        }
-        double range_sel = stats_.ConjunctSelectivity(*c);
-        double range_cost = params_.index_descend +
-                            range_sel * base_rows * params_.index_row;
-        if (range_cost < out.cost) {
-          out.cost = range_cost;
-          node->access = AccessMethod::kIndexRange;
-          node->index_id = static_cast<int>(i);
-        }
-      }
-    }
-  }
-
-  // Correlated "ref" access: an equality binding an index's first key
-  // column to a purely-outer expression (a correlated subquery over a
-  // single table, e.g. TPC-H Q17/Q20's inner blocks). The lookup key is
-  // available at Open time, so this is as good as a join-time ref access.
-  if (leaf->kind == TableRef::Kind::kBase && leaf->table != nullptr) {
-    for (const Expr* c : local_conds) {
-      if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) continue;
-      for (int side = 0; side < 2; ++side) {
-        const Expr& col = *c->children[static_cast<size_t>(side)];
-        const Expr& other = *c->children[static_cast<size_t>(1 - side)];
-        if (col.kind != Expr::Kind::kColumnRef ||
-            col.ref_id != leaf->ref_id) {
-          continue;
-        }
-        // The other side must not touch this leaf (purely outer/constant).
-        std::vector<bool> other_refs(static_cast<size_t>(stmt_->num_refs),
-                                     false);
-        CollectReferencedRefs(other, &other_refs);
-        if (leaf->ref_id >= 0 &&
-            static_cast<size_t>(leaf->ref_id) < other_refs.size() &&
-            other_refs[static_cast<size_t>(leaf->ref_id)]) {
-          continue;
-        }
-        for (size_t i = 0; i < leaf->table->indexes.size(); ++i) {
-          const IndexDef& idx = leaf->table->indexes[i];
-          if (idx.column_idx.empty() ||
-              idx.column_idx[0] != col.column_idx) {
-            continue;
-          }
-          double ndv = stats_.NdvOf(leaf->ref_id, col.column_idx,
-                                    std::max(base_rows, 1.0));
-          double match = std::max(base_rows / std::max(ndv, 1.0), 1.0);
-          double cost =
-              params_.index_descend + match * params_.index_row;
-          if (cost < out.cost) {
-            out.cost = cost;
-            node->access = AccessMethod::kIndexLookup;
-            node->index_id = static_cast<int>(i);
-          }
-        }
-      }
-    }
-  }
-
+  node->access = access.method;
+  node->index_id = access.index_id;
+  out.cost = access.cost;
   out.rows = std::max(base_rows * sel, 1.0);
   node->est_rows = out.rows;
   node->est_cost = out.cost;
@@ -275,7 +169,9 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
       }
     }
     if (unit.ref->kind != TableRef::Kind::kJoin) {
-      unit_plans[i] = PlanLeaf(unit.ref, local);
+      unit_plans[i] = PlanLeaf(unit.ref, local, [&graph](int ref_id) {
+        return graph.unit_of_ref.count(ref_id) == 0;
+      });
     } else {
       // Composite: plan the subtree, folding in join_conds pieces that
       // reference only this unit.
@@ -366,14 +262,17 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
           unit.ref->table != nullptr) {
         // Look for an index whose first key column is bound by an equality
         // to already-placed tables.
-        for (size_t i = 0; i < unit.ref->table->indexes.size() && ref_index < 0;
-             ++i) {
-          const IndexDef& idx = unit.ref->table->indexes[i];
-          if (idx.column_idx.empty()) continue;
+        auto placed_or_outer = [&](int ref_id) {
+          auto it = graph.unit_of_ref.find(ref_id);
+          return it == graph.unit_of_ref.end() ||
+                 (placed & (1ULL << it->second)) != 0;
+        };
+        const std::vector<IndexDef>& indexes = unit.ref->table->indexes;
+        for (size_t i = 0; i < indexes.size() && ref_index < 0; ++i) {
+          if (indexes[i].column_idx.empty()) continue;
           for (const Expr* e : connecting) {
-            int col = LookupKeyColumn(*e, *unit.ref, graph, placed,
-                                      stmt_->num_refs);
-            if (col == idx.column_idx[0]) {
+            if (KeyBinding(*e, *unit.ref, indexes[i].column_idx[0],
+                           placed_or_outer) != nullptr) {
               ref_index = static_cast<int>(i);
               break;
             }
@@ -382,14 +281,12 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
       }
 
       if (ref_index >= 0) {
-        double base = stats_.LeafBaseRows(*unit.ref);
         const IndexDef& idx =
             unit.ref->table->indexes[static_cast<size_t>(ref_index)];
-        double ndv = stats_.NdvOf(unit.ref->ref_id, idx.column_idx[0],
-                                  std::max(base, 1.0));
-        double match = std::max(base / std::max(ndv, 1.0), 1.0);
         cost = acc.cost +
-               acc.rows * (params_.index_descend + match * params_.index_row);
+               acc.rows * IndexProbeCost(stats_, params_, unit.ref->ref_id,
+                                         idx.column_idx[0],
+                                         stats_.LeafBaseRows(*unit.ref));
         access = AccessMethod::kIndexLookup;
         index_id = ref_index;
         method = JoinMethod::kNestedLoop;

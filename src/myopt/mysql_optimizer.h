@@ -9,6 +9,7 @@
 #include "myopt/cardinality.h"
 #include "myopt/cost_params.h"
 #include "myopt/skeleton.h"
+#include "parser/ast_util.h"
 
 namespace taurus {
 
@@ -44,8 +45,10 @@ class MySqlOptimizer {
   Result<Planned> PlanJoin(QueryBlock* block, TableRef* single_tree,
                            const std::vector<Expr*>* extra_conds);
 
-  /// Plans access to a single leaf given its local conjuncts.
-  Planned PlanLeaf(TableRef* leaf, const std::vector<Expr*>& local_conds);
+  /// Plans access to a single leaf given its local conjuncts; `outer`
+  /// accepts the refs outside this join graph.
+  Planned PlanLeaf(TableRef* leaf, const std::vector<Expr*>& local_conds,
+                   RefPredicate outer);
 
   const Catalog& catalog_;
   BoundStatement* stmt_;

@@ -9,6 +9,7 @@
 #include "exec/batch_executor.h"
 #include "exec/exec_internal.h"
 #include "exec/expr_eval.h"
+#include "myopt/access_path.h"
 #include "parser/ast_util.h"
 
 namespace taurus {
@@ -443,6 +444,18 @@ void CollectSubqueryExprsMut(Expr* e, std::vector<Expr*>* out) {
   for (auto& c : e->children) CollectSubqueryExprsMut(c.get(), out);
 }
 
+PhysOp::Kind LeafKind(AccessMethod access) {
+  switch (access) {
+    case AccessMethod::kIndexRange:
+      return PhysOp::Kind::kIndexRange;
+    case AccessMethod::kIndexLookup:
+      return PhysOp::Kind::kIndexLookup;
+    case AccessMethod::kTableScan:
+      break;
+  }
+  return PhysOp::Kind::kTableScan;
+}
+
 class Refiner {
  public:
   Refiner(CompiledQuery* out, const Catalog& catalog, int num_refs)
@@ -508,48 +521,27 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
     } else {
       AccessMethod access = node->access;
       op->index_id = node->index_id;
+      op->prescribed = LeafKind(access);
       if (access == AccessMethod::kIndexLookup) {
         // Bind index key columns, in order, to equalities whose other side
         // is available (already-placed tables or outer blocks).
         const IndexDef& idx =
             leaf->table->indexes[static_cast<size_t>(node->index_id)];
+        auto available = [&avail](int ref_id) {
+          return static_cast<size_t>(ref_id) >= avail.size() ||
+                 avail[static_cast<size_t>(ref_id)] != 0;
+        };
         for (int key_col : idx.column_idx) {
-          Expr* found = nullptr;
+          const Expr* found = nullptr;
           for (Expr*& c : att.at_node) {
             if (c == nullptr) continue;
-            if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-              continue;
-            }
-            for (int side = 0; side < 2; ++side) {
-              Expr* col = c->children[static_cast<size_t>(side)].get();
-              Expr* other = c->children[static_cast<size_t>(1 - side)].get();
-              if (col->kind != Expr::Kind::kColumnRef ||
-                  col->ref_id != leaf->ref_id || col->column_idx != key_col) {
-                continue;
-              }
-              RefSet other_refs =
-                  LocalRefs(*other, RefSet(static_cast<size_t>(num_refs_), 1),
-                            num_refs_);
-              other_refs[static_cast<size_t>(leaf->ref_id)] = 0;
-              // All block-local refs of the other side must be available,
-              // and it must not reference this leaf.
-              std::vector<bool> oref(static_cast<size_t>(num_refs_), false);
-              CollectReferencedRefs(*other, &oref);
-              bool ok = !oref[static_cast<size_t>(leaf->ref_id)];
-              for (int r = 0; ok && r < num_refs_; ++r) {
-                if (oref[static_cast<size_t>(r)] &&
-                    !avail[static_cast<size_t>(r)]) {
-                  ok = false;
-                }
-              }
-              if (!ok) continue;
-              found = other;
+            found = KeyBinding(*c, *leaf, key_col, available);
+            if (found != nullptr) {
               c = nullptr;  // consumed
               break;
             }
-            if (found) break;
           }
-          if (!found) break;
+          if (found == nullptr) break;
           op->lookup_keys.push_back(found);
         }
         if (op->lookup_keys.empty()) {
@@ -564,76 +556,33 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
         // `first_col = const` binds a point range, but only when no other
         // conjunct bounds the range; otherwise it stays a filter.
         Expr** point = nullptr;
-        Expr* point_value = nullptr;
+        const Expr* point_value = nullptr;
         for (Expr*& c : att.at_node) {
-          if (c == nullptr || first_col < 0) continue;
-          if (c->kind == Expr::Kind::kBetween && !c->negated &&
-              c->children[0]->kind == Expr::Kind::kColumnRef &&
-              c->children[0]->ref_id == leaf->ref_id &&
-              c->children[0]->column_idx == first_col &&
-              IsConstExpr(*c->children[1]) && IsConstExpr(*c->children[2]) &&
-              op->range_lo == nullptr && op->range_hi == nullptr) {
-            op->range_lo = c->children[1].get();
-            op->range_hi = c->children[2].get();
-            c = nullptr;
-            continue;
-          }
-          if (c->kind != Expr::Kind::kBinary || !IsComparisonOp(c->bop) ||
-              c->bop == BinaryOp::kNe) {
-            continue;
-          }
-          Expr* col = c->children[0].get();
-          Expr* other = c->children[1].get();
-          BinaryOp cmp = c->bop;
-          if (!(col->kind == Expr::Kind::kColumnRef &&
-                col->ref_id == leaf->ref_id &&
-                col->column_idx == first_col && IsConstExpr(*other))) {
-            std::swap(col, other);
-            cmp = CommuteComparison(cmp);
-            if (!(col->kind == Expr::Kind::kColumnRef &&
-                  col->ref_id == leaf->ref_id &&
-                  col->column_idx == first_col && IsConstExpr(*other))) {
-              continue;
+          if (c == nullptr) continue;
+          std::optional<ColumnBounds> b = RangeBound(*c, *leaf);
+          if (!b || b->column_idx != first_col) continue;
+          if (b->point) {
+            if (point == nullptr) {
+              point = &c;
+              point_value = b->lo;
             }
+            continue;
           }
-          switch (cmp) {
-            case BinaryOp::kEq:
-              if (point == nullptr) {
-                point = &c;
-                point_value = other;
-              }
-              break;
-            case BinaryOp::kLt:
-              if (op->range_hi == nullptr) {
-                op->range_hi = other;
-                op->hi_inclusive = false;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kLe:
-              if (op->range_hi == nullptr) {
-                op->range_hi = other;
-                op->hi_inclusive = true;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kGt:
-              if (op->range_lo == nullptr) {
-                op->range_lo = other;
-                op->lo_inclusive = false;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kGe:
-              if (op->range_lo == nullptr) {
-                op->range_lo = other;
-                op->lo_inclusive = true;
-                c = nullptr;
-              }
-              break;
-            default:
-              break;
+          // Each end binds once; a later bound on a bound end stays a
+          // filter.
+          if ((b->lo != nullptr && op->range_lo != nullptr) ||
+              (b->hi != nullptr && op->range_hi != nullptr)) {
+            continue;
           }
+          if (b->lo != nullptr) {
+            op->range_lo = b->lo;
+            op->lo_inclusive = b->lo_inclusive;
+          }
+          if (b->hi != nullptr) {
+            op->range_hi = b->hi;
+            op->hi_inclusive = b->hi_inclusive;
+          }
+          c = nullptr;
         }
         if (op->range_lo == nullptr && op->range_hi == nullptr &&
             point != nullptr) {
@@ -646,11 +595,7 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
           op->index_id = -1;
         }
       }
-      op->kind = access == AccessMethod::kTableScan
-                     ? PhysOp::Kind::kTableScan
-                     : access == AccessMethod::kIndexRange
-                           ? PhysOp::Kind::kIndexRange
-                           : PhysOp::Kind::kIndexLookup;
+      op->kind = LeafKind(access);
       for (Expr* c : att.at_node) {
         if (c != nullptr) op->filters.push_back(c);
       }

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/fault_injector.h"
+#include "myopt/access_path.h"
 #include "parser/ast_util.h"
 
 namespace taurus {
@@ -33,19 +34,6 @@ struct Conjunct {
   bool equality = false;
 };
 
-/// True when `e` is an equality with column `column_idx` of `ref_id` on
-/// either side — a conjunct that can bind that column for an index lookup.
-bool BindsColumn(const Expr& e, int ref_id, int column_idx) {
-  if (e.kind != Expr::Kind::kBinary || e.bop != BinaryOp::kEq) return false;
-  for (const auto& side : e.children) {
-    if (side->kind == Expr::Kind::kColumnRef && side->ref_id == ref_id &&
-        side->column_idx == column_idx) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One reorderable element of the flattened join tree.
 struct Unit {
   OrcaLogicalOp* op = nullptr;   ///< Get, or subtree root for composites
@@ -60,7 +48,7 @@ struct Unit {
   double access_cost = 0.0;      ///< best standalone access cost
   /// Where `rows` came from (harvested actual when feedback overrode it).
   CardSource card_source = CardSource::kHistogram;
-  OrcaPhysicalOp::Kind access = OrcaPhysicalOp::Kind::kTableScan;
+  AccessMethod access = AccessMethod::kTableScan;
   int access_index = -1;
   std::unique_ptr<OrcaPhysicalOp> composite_plan;  ///< for composite units
 };
@@ -96,6 +84,7 @@ class JoinSearch {
       : config_(config),
         stats_(stats),
         num_refs_(num_refs),
+        unit_of_ref_(static_cast<size_t>(num_refs), -1),
         partitions_(partitions),
         groups_(groups),
         governor_(governor),
@@ -115,6 +104,12 @@ class JoinSearch {
   Status SetupUnit(Unit* unit);
 
   uint64_t UnitMask(const Expr& e) const;
+  /// The unit holding leaf `ref_id`, or -1 for refs outside this search.
+  int UnitOfRef(int ref_id) const {
+    return static_cast<size_t>(ref_id) < unit_of_ref_.size()
+               ? unit_of_ref_[static_cast<size_t>(ref_id)]
+               : -1;
+  }
   /// Fixes the conjunct facts the search reads on every pair: equality
   /// flags, ON-conjunct unit masks and the mask of dependent units.
   void PrepareConjuncts();
@@ -156,6 +151,7 @@ class JoinSearch {
   const OrcaConfig& config_;
   StatsProvider* stats_;
   int num_refs_;
+  std::vector<int> unit_of_ref_;  ///< ref_id -> unit, -1 outside
   int64_t* partitions_;
   int* groups_;
   ResourceGovernor* governor_;
@@ -173,7 +169,6 @@ class JoinSearch {
   std::vector<Unit> units_;
   std::vector<Conjunct> pool_;
   uint64_t non_inner_ = 0;  ///< units with a non-inner join type
-  std::unordered_map<int, int> unit_of_ref_;
   std::unordered_map<uint64_t, GroupState> memo_;
   std::unordered_map<uint64_t, Card> cards_;
   int64_t budget_ = 0;
@@ -197,7 +192,9 @@ Status JoinSearch::AddUnit(OrcaLogicalOp* op, JoinType type,
   u.local_conds = std::move(local_conds);
   std::vector<TableRef*> leaves;
   CollectGetLeaves(op, &leaves);
-  for (TableRef* leaf : leaves) unit_of_ref_[leaf->ref_id] = idx;
+  for (TableRef* leaf : leaves) {
+    unit_of_ref_[static_cast<size_t>(leaf->ref_id)] = idx;
+  }
   units_.push_back(std::move(u));
   *added |= 1ULL << idx;
   return Status::OK();
@@ -253,14 +250,12 @@ Status JoinSearch::FlattenInto(OrcaLogicalOp* op, uint64_t* added,
 }
 
 uint64_t JoinSearch::UnitMask(const Expr& e) const {
-  std::vector<bool> refs(static_cast<size_t>(num_refs_), false);
-  CollectReferencedRefs(e, &refs);
   uint64_t mask = 0;
-  for (int r = 0; r < num_refs_; ++r) {
-    if (!refs[static_cast<size_t>(r)]) continue;
-    auto it = unit_of_ref_.find(r);
-    if (it != unit_of_ref_.end()) mask |= 1ULL << it->second;
-  }
+  AllReferencedRefs(e, [&](int ref_id) {
+    int unit = UnitOfRef(ref_id);
+    if (unit >= 0) mask |= 1ULL << unit;
+    return true;
+  });
   return mask;
 }
 
@@ -282,93 +277,13 @@ Status JoinSearch::SetupUnit(Unit* unit) {
         if (actual_overrides_ != nullptr) ++*actual_overrides_;
       }
     }
-    // Access choice: sequential scan vs index range over a local range
-    // predicate (cost-based, unlike stock MySQL's heuristics).
-    unit->access = OrcaPhysicalOp::Kind::kTableScan;
-    unit->access_cost = unit->base_rows * config_.cost.seq_row;
-    if (unit->leaf->kind == TableRef::Kind::kBase &&
-        unit->leaf->table != nullptr) {
-      for (const Expr* c : unit->local_conds) {
-        const Expr* col = nullptr;
-        if (c->kind == Expr::Kind::kBetween && !c->negated) {
-          col = c->children[0].get();
-        } else if (c->kind == Expr::Kind::kBinary && IsComparisonOp(c->bop) &&
-                   c->bop != BinaryOp::kNe) {
-          if (c->children[0]->kind == Expr::Kind::kColumnRef) {
-            col = c->children[0].get();
-          } else if (c->children[1]->kind == Expr::Kind::kColumnRef) {
-            col = c->children[1].get();
-          }
-        }
-        if (col == nullptr || col->kind != Expr::Kind::kColumnRef ||
-            col->ref_id != unit->leaf->ref_id) {
-          continue;
-        }
-        for (size_t i = 0; i < unit->leaf->table->indexes.size(); ++i) {
-          const IndexDef& idx = unit->leaf->table->indexes[i];
-          if (idx.column_idx.empty() ||
-              idx.column_idx[0] != col->column_idx) {
-            continue;
-          }
-          double range_sel = stats_->ConjunctSelectivity(*c);
-          double cost = config_.cost.index_descend +
-                        range_sel * unit->base_rows * config_.cost.index_row;
-          if (cost < unit->access_cost) {
-            unit->access_cost = cost;
-            unit->access = OrcaPhysicalOp::Kind::kIndexRangeScan;
-            unit->access_index = static_cast<int>(i);
-          }
-        }
-      }
-      // Correlated "ref" access: equality binding an index's first key
-      // column to a purely-outer expression (correlated subquery blocks).
-      for (const Expr* c : unit->local_conds) {
-        if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-          continue;
-        }
-        for (int side = 0; side < 2; ++side) {
-          const Expr& col = *c->children[static_cast<size_t>(side)];
-          const Expr& other = *c->children[static_cast<size_t>(1 - side)];
-          if (col.kind != Expr::Kind::kColumnRef ||
-              col.ref_id != unit->leaf->ref_id) {
-            continue;
-          }
-          std::vector<bool> other_refs(static_cast<size_t>(num_refs_),
-                                       false);
-          CollectReferencedRefs(other, &other_refs);
-          if (unit->leaf->ref_id >= 0 &&
-              other_refs[static_cast<size_t>(unit->leaf->ref_id)]) {
-            continue;
-          }
-          bool touches_sibling_unit = false;
-          for (int r = 0; r < num_refs_; ++r) {
-            if (other_refs[static_cast<size_t>(r)] &&
-                unit_of_ref_.count(r) != 0) {
-              touches_sibling_unit = true;
-            }
-          }
-          if (touches_sibling_unit) continue;
-          for (size_t i = 0; i < unit->leaf->table->indexes.size(); ++i) {
-            const IndexDef& idx = unit->leaf->table->indexes[i];
-            if (idx.column_idx.empty() ||
-                idx.column_idx[0] != col.column_idx) {
-              continue;
-            }
-            double ndv = stats_->NdvOf(unit->leaf->ref_id, col.column_idx,
-                                       std::max(unit->base_rows, 1.0));
-            double match =
-                std::max(unit->base_rows / std::max(ndv, 1.0), 1.0);
-            double cost = config_.cost.index_descend +
-                          match * config_.cost.index_row;
-            if (cost < unit->access_cost) {
-              unit->access_cost = cost;
-              unit->access = OrcaPhysicalOp::Kind::kIndexLookup;
-              unit->access_index = static_cast<int>(i);
-            }
-          }
-        }
-      }
-    }
+    // Access choice, cost-based unlike stock MySQL's heuristics.
+    LeafAccess access = ChooseLeafAccess(
+        *unit->leaf, unit->local_conds, unit->base_rows, *stats_,
+        config_.cost, [this](int ref_id) { return UnitOfRef(ref_id) < 0; });
+    unit->access = access.method;
+    unit->access_index = access.index_id;
+    unit->access_cost = access.cost;
     return Status::OK();
   }
   // Composite unit: optimize its subtree recursively with a fresh search,
@@ -376,24 +291,16 @@ Status JoinSearch::SetupUnit(Unit* unit) {
   JoinSearch sub(config_, stats_, num_refs_, partitions_, groups_, governor_,
                  feedback_, actual_overrides_, sketch_overrides_);
   TAURUS_RETURN_IF_ERROR(sub.Flatten(unit->op));
-  // Restrict join_conds to subtree-only pieces and push them in.
-  std::vector<TableRef*> leaves;
-  CollectGetLeaves(unit->op, &leaves);
+  // Restrict join_conds to subtree-only pieces and push them in. Outer-block
+  // refs (not any unit) are fine; refs to sibling units of the parent
+  // search are not.
+  auto subtree_or_outer = [&](int ref_id) {
+    return UnitOfRef(ref_id) < 0 || sub.UnitOfRef(ref_id) >= 0;
+  };
   for (const Conjunct& jc : unit->join_conds) {
-    bool subtree_only = true;
-    std::vector<bool> refs(static_cast<size_t>(num_refs_), false);
-    CollectReferencedRefs(*jc.expr, &refs);
-    for (int r = 0; r < num_refs_; ++r) {
-      if (!refs[static_cast<size_t>(r)]) continue;
-      bool inside = false;
-      for (TableRef* l : leaves) {
-        if (l->ref_id == r) inside = true;
-      }
-      // Outer-block refs (not any unit) are fine; refs to sibling units
-      // of the parent search are not.
-      if (!inside && unit_of_ref_.count(r) != 0) subtree_only = false;
+    if (AllReferencedRefs(*jc.expr, subtree_or_outer)) {
+      sub.pool_.push_back(Conjunct{jc.expr});
     }
-    if (subtree_only) sub.pool_.push_back(Conjunct{jc.expr});
   }
   for (Conjunct& c : sub.pool_) c.units = sub.UnitMask(*c.expr);
   // Fold freshly-added single-unit conjuncts into unit-local conditions.
@@ -739,19 +646,23 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
     const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
     if (u.leaf != nullptr && u.leaf->kind == TableRef::Kind::kBase &&
         u.leaf->table != nullptr) {
+      // The key may read units of A and refs outside this search.
+      auto available = [&](int ref_id) {
+        int unit = UnitOfRef(ref_id);
+        return unit < 0 || (a & (1ULL << unit)) != 0;
+      };
       for (size_t i = 0; i < u.leaf->table->indexes.size(); ++i) {
         const IndexDef& idx = u.leaf->table->indexes[i];
         if (idx.column_idx.empty()) continue;
         const bool bound = !ForEachCrossCond(a, b, [&](const Conjunct& c) {
-          return !BindsColumn(*c.expr, u.leaf->ref_id, idx.column_idx[0]);
+          return KeyBinding(*c.expr, *u.leaf, idx.column_idx[0], available) ==
+                 nullptr;
         });
         if (!bound) continue;
-        double ndv = stats_->NdvOf(u.leaf->ref_id, idx.column_idx[0],
-                                   std::max(u.base_rows, 1.0));
-        double match = std::max(u.base_rows / std::max(ndv, 1.0), 1.0);
-        double cost = ga.cost +
-                      rows_a * (cp.index_descend + match * cp.index_row) +
-                      out_rows * cp.row_out;
+        double lookups = rows_a * IndexProbeCost(*stats_, cp, u.leaf->ref_id,
+                                                 idx.column_idx[0],
+                                                 u.base_rows);
+        double cost = ga.cost + lookups + out_rows * cp.row_out;
         if (cost < g->cost) {
           g->cost = cost;
           g->is_leaf = false;
@@ -760,8 +671,7 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
           g->impl = OrcaPhysicalOp::Kind::kNLJoin;
           g->join_type = jt;
           g->inner_index = static_cast<int>(i);
-          g->inner_lookup_cost =
-              rows_a * (cp.index_descend + match * cp.index_row);
+          g->inner_lookup_cost = lookups;
         }
       }
     }
@@ -948,7 +858,11 @@ std::unique_ptr<OrcaPhysicalOp> JoinSearch::BuildLeafPlan(int unit_idx,
     op->kind = OrcaPhysicalOp::Kind::kIndexLookup;
     op->index_id = lookup_index;
   } else {
-    op->kind = u.access;
+    op->kind = u.access == AccessMethod::kIndexRange
+                   ? OrcaPhysicalOp::Kind::kIndexRangeScan
+               : u.access == AccessMethod::kIndexLookup
+                   ? OrcaPhysicalOp::Kind::kIndexLookup
+                   : OrcaPhysicalOp::Kind::kTableScan;
     op->index_id = u.access_index;
   }
   return op;

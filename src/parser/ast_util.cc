@@ -60,41 +60,56 @@ bool ExprEquals(const Expr& a, const Expr& b) {
 
 namespace {
 
-void CollectFromBlock(const QueryBlock& block, std::vector<bool>* refs);
+bool AllFromBlock(const QueryBlock& block, RefPredicate pred);
 
-void CollectFromTableRef(const TableRef& ref, std::vector<bool>* refs) {
+bool AllFromTableRef(const TableRef& ref, RefPredicate pred) {
   if (ref.kind == TableRef::Kind::kJoin) {
-    if (ref.on) CollectReferencedRefs(*ref.on, refs);
-    CollectFromTableRef(*ref.left, refs);
-    CollectFromTableRef(*ref.right, refs);
-  } else if (ref.kind == TableRef::Kind::kDerived) {
-    CollectFromBlock(*ref.derived, refs);
+    return (!ref.on || AllReferencedRefs(*ref.on, pred)) &&
+           AllFromTableRef(*ref.left, pred) &&
+           AllFromTableRef(*ref.right, pred);
   }
+  return ref.kind != TableRef::Kind::kDerived ||
+         AllFromBlock(*ref.derived, pred);
 }
 
-void CollectFromBlock(const QueryBlock& block, std::vector<bool>* refs) {
+bool AllFromBlock(const QueryBlock& block, RefPredicate pred) {
   for (const auto& item : block.select_items) {
-    CollectReferencedRefs(*item.expr, refs);
+    if (!AllReferencedRefs(*item.expr, pred)) return false;
   }
-  if (block.where) CollectReferencedRefs(*block.where, refs);
-  if (block.having) CollectReferencedRefs(*block.having, refs);
-  for (const auto& g : block.group_by) CollectReferencedRefs(*g, refs);
-  for (const auto& o : block.order_by) CollectReferencedRefs(*o.expr, refs);
-  for (const auto& t : block.from) CollectFromTableRef(*t, refs);
-  if (block.union_next) CollectFromBlock(*block.union_next, refs);
+  if (block.where && !AllReferencedRefs(*block.where, pred)) return false;
+  if (block.having && !AllReferencedRefs(*block.having, pred)) return false;
+  for (const auto& g : block.group_by) {
+    if (!AllReferencedRefs(*g, pred)) return false;
+  }
+  for (const auto& o : block.order_by) {
+    if (!AllReferencedRefs(*o.expr, pred)) return false;
+  }
+  for (const auto& t : block.from) {
+    if (!AllFromTableRef(*t, pred)) return false;
+  }
+  return !block.union_next || AllFromBlock(*block.union_next, pred);
 }
 
 }  // namespace
 
-void CollectReferencedRefs(const Expr& expr, std::vector<bool>* refs) {
+bool AllReferencedRefs(const Expr& expr, RefPredicate pred) {
   if (expr.kind == Expr::Kind::kColumnRef && expr.ref_id >= 0 &&
-      static_cast<size_t>(expr.ref_id) < refs->size()) {
-    (*refs)[static_cast<size_t>(expr.ref_id)] = true;
+      !pred(expr.ref_id)) {
+    return false;
   }
   for (const auto& child : expr.children) {
-    CollectReferencedRefs(*child, refs);
+    if (!AllReferencedRefs(*child, pred)) return false;
   }
-  if (expr.subquery) CollectFromBlock(*expr.subquery, refs);
+  return !expr.subquery || AllFromBlock(*expr.subquery, pred);
+}
+
+void CollectReferencedRefs(const Expr& expr, std::vector<bool>* refs) {
+  AllReferencedRefs(expr, [refs](int ref) {
+    if (static_cast<size_t>(ref) < refs->size()) {
+      (*refs)[static_cast<size_t>(ref)] = true;
+    }
+    return true;
+  });
 }
 
 bool ContainsAggregate(const Expr& expr) {

@@ -17,23 +17,8 @@ std::string LeafName(const TableRef* leaf) {
 }
 
 std::string OpLabel(const PhysOp& op) {
-  switch (op.kind) {
-    case PhysOp::Kind::kTableScan:
-      return "scan(" + LeafName(op.leaf) + ")";
-    case PhysOp::Kind::kIndexRange:
-      return "index_range(" + LeafName(op.leaf) + ")";
-    case PhysOp::Kind::kIndexLookup:
-      return "index_lookup(" + LeafName(op.leaf) + ")";
-    case PhysOp::Kind::kDerivedScan:
-      return "derived_scan(" + LeafName(op.leaf) + ")";
-    case PhysOp::Kind::kNLJoin:
-      return "nljoin";
-    case PhysOp::Kind::kHashJoin:
-      return "hashjoin";
-    case PhysOp::Kind::kFilter:
-      return "filter";
-  }
-  return "?";
+  if (op.leaf == nullptr) return PhysOpKindName(op.kind);
+  return std::string(PhysOpKindName(op.kind)) + "(" + LeafName(op.leaf) + ")";
 }
 
 /// Serial reasons AnalyzeParallelSafety can state (refine.cc); anything
@@ -192,6 +177,16 @@ class BlockVerifier {
           WalkBlock(*op.derived_plan);
         }
         break;
+    }
+
+    // B005: a base leaf executes the access its skeleton prescribed.
+    if (op.leaf != nullptr && op.kind != PhysOp::Kind::kDerivedScan &&
+        op.kind != op.prescribed) {
+      report_->AddError("B005", path,
+                        std::string("skeleton prescribed ") +
+                            PhysOpKindName(op.prescribed) +
+                            ", refinement executes " +
+                            PhysOpKindName(op.kind));
     }
 
     // B003: every expression the operator evaluates.

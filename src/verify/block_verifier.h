@@ -21,6 +21,9 @@ namespace taurus {
 ///   B003  expression reference closure: every column ref evaluated by the
 ///         plan resolves to a live leaf and a valid column (no dangling
 ///         column ids survive refinement)
+///   B005  no silent downgrade: every base leaf executes the access method
+///         its skeleton prescribed (refinement's scan fallback stays as a
+///         safety net, but taking it is a violation)
 void VerifyBlockPlan(const CompiledQuery& query, VerifyReport* report);
 
 /// B004 — budget hooks present: when the engine's resource budget governs
@@ -30,7 +33,7 @@ void VerifyExecBudgetArming(bool used_orca, bool budget_governs_exec,
                             const ExecContext& ctx, VerifyReport* report);
 
 /// Number of rules VerifyBlockPlan evaluates (for rules_checked).
-inline constexpr int kNumBlockRules = 3;
+inline constexpr int kNumBlockRules = 4;
 
 }  // namespace taurus
 

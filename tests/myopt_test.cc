@@ -2,6 +2,7 @@
 
 #include "exec/block_executor.h"
 #include "frontend/prepare.h"
+#include "myopt/access_path.h"
 #include "myopt/cardinality.h"
 #include "parser/ast_util.h"
 #include "myopt/join_graph.h"
@@ -9,6 +10,7 @@
 #include "myopt/refine.h"
 #include "parser/parser.h"
 #include "storage/storage.h"
+#include "verify/block_verifier.h"
 
 namespace taurus {
 namespace {
@@ -267,17 +269,65 @@ TEST_F(MyOptTest, RefinementBindsLookupKeys) {
 }
 
 TEST_F(MyOptTest, RefinementDowngradesUnbindableLookup) {
-  // Force a lookup skeleton whose index key cannot be bound; refinement
-  // must degrade to a scan rather than fail.
-  auto stmt = Prep("SELECT 1 FROM big WHERE b_v > 100");
-  ASSERT_TRUE(stmt.ok());
-  auto skel = MySqlOptimize(catalog_, &*stmt);
-  ASSERT_TRUE(skel.ok());
-  (*skel)->root->access = AccessMethod::kIndexLookup;
-  (*skel)->root->index_id = 0;
-  auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  EXPECT_EQ((*q)->root->join_root->kind, PhysOp::Kind::kTableScan);
+  // Force skeletons whose index access cannot be bound: no conjunct binds
+  // big_pk's key (b_id). Refinement must degrade to a scan rather than
+  // fail, and block-verifier rule B005 must report each downgrade.
+  for (AccessMethod forced :
+       {AccessMethod::kIndexLookup, AccessMethod::kIndexRange}) {
+    SCOPED_TRACE(static_cast<int>(forced));
+    auto stmt = Prep("SELECT 1 FROM big WHERE b_v > 100");
+    ASSERT_TRUE(stmt.ok());
+    auto skel = MySqlOptimize(catalog_, &*stmt);
+    ASSERT_TRUE(skel.ok());
+    (*skel)->root->access = forced;
+    (*skel)->root->index_id = 0;
+    auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ((*q)->root->join_root->kind, PhysOp::Kind::kTableScan);
+    VerifyReport report;
+    VerifyBlockPlan(**q, &report);
+    EXPECT_TRUE(report.HasRule("B005")) << report.ToString();
+    EXPECT_EQ(report.violations(), 1) << report.ToString();
+  }
+}
+
+// One table of conjunct shapes and the access each gets. Both optimizers
+// choose leaf access through ChooseLeafAccess, so this covers both.
+TEST_F(MyOptTest, LeafAccessByConjunctShape) {
+  struct Case {
+    const char* where;
+    AccessMethod access;
+    bool range_bound;  ///< RangeBound accepts the conjunct
+  };
+  const Case kCases[] = {
+      {"b_id < 5", AccessMethod::kIndexRange, true},
+      {"5 > b_id", AccessMethod::kIndexRange, true},
+      {"b_id BETWEEN 1 AND 9", AccessMethod::kIndexRange, true},
+      {"b_fk = s_id", AccessMethod::kIndexLookup, false},
+      {"b_id BETWEEN s_id AND 9", AccessMethod::kTableScan, false},
+      {"b_id < b_fk", AccessMethod::kTableScan, false},
+      {"b_id NOT BETWEEN 1 AND 9", AccessMethod::kTableScan, false},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.where);
+    // Bound but not Prepared, so every conjunct keeps its written shape.
+    auto parsed =
+        ParseSelect(std::string("SELECT 1 FROM big, small WHERE ") + c.where);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto stmt = BindStatement(catalog_, std::move(*parsed));
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    const TableRef& big = *stmt->leaves[0];
+    ASSERT_EQ(big.table_name, "big");
+    Expr* conjunct = stmt->block->where.get();
+    // `small` plays the outer block: the only refs a ref key may read.
+    auto outer = [&](int ref_id) { return ref_id != big.ref_id; };
+    StatsProvider stats(catalog_, stmt->leaves);
+    LeafAccess access =
+        ChooseLeafAccess(big, {conjunct}, stats.LeafBaseRows(big), stats,
+                         CostParams(), outer);
+    EXPECT_EQ(access.method, c.access);
+    EXPECT_EQ(RangeBound(*conjunct, big).has_value(), c.range_bound);
+  }
 }
 
 TEST_F(MyOptTest, RefinementCollectsAggregates) {
