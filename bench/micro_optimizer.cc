@@ -87,37 +87,16 @@ BENCHMARK(BM_OrcaOptimize)
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive))
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive2));
 
-enum class JoinGraph { kChain, kStar, kCycle };
-
-/// A count(*) over `n` aliases of `nation` joined on n_nationkey: a chain
-/// t0-t1-...-t(n-1), a star around t0, or the chain closed into a cycle.
-std::string JoinGraphQuery(JoinGraph shape, int n) {
-  std::string from;
-  std::string where;
-  auto join = [&](int a, int b) {
-    if (!where.empty()) where += " AND ";
-    where += "t" + std::to_string(a) + ".n_nationkey = t" +
-             std::to_string(b) + ".n_nationkey";
-  };
-  for (int i = 0; i < n; ++i) {
-    if (i > 0) from += ", ";
-    from += "nation t" + std::to_string(i);
-    if (i == 0) continue;
-    join(shape == JoinGraph::kStar ? 0 : i - 1, i);
-  }
-  if (shape == JoinGraph::kCycle && n > 2) join(n - 1, 0);
-  return "SELECT count(*) FROM " + from + " WHERE " + where;
-}
-
 /// Optimize time against join count: the whole Orca detour under
-/// EXHAUSTIVE2 on one join graph, with the partition pairs it costed.
-void BM_OrcaJoinSearch(benchmark::State& state, JoinGraph shape) {
+/// EXHAUSTIVE2 on one join graph, with the partition pairs it costed and
+/// the memo groups it built.
+void BM_OrcaJoinSearch(benchmark::State& state, NationJoinShape shape) {
   Database* db = SharedDb();
   OrcaConfig config;
   config.strategy = JoinSearchStrategy::kExhaustive2;
   const std::string sql =
-      JoinGraphQuery(shape, static_cast<int>(state.range(0)));
-  int64_t partitions = 0;
+      NationJoinGraphQuery(shape, static_cast<int>(state.range(0)));
+  OrcaPathMetrics metrics;
   for (auto _ : state) {
     auto q = ParseSelect(sql);
     auto bound = BindStatement(db->catalog(), std::move(*q));
@@ -130,17 +109,19 @@ void BM_OrcaJoinSearch(benchmark::State& state, JoinGraph shape) {
       state.SkipWithError(skel.status().ToString().c_str());
       break;
     }
-    partitions = orca.metrics().partitions_evaluated;
+    metrics = orca.metrics();
   }
-  state.counters["partitions_evaluated"] = static_cast<double>(partitions);
+  state.counters["partitions_evaluated"] =
+      static_cast<double>(metrics.partitions_evaluated);
+  state.counters["memo_groups"] = static_cast<double>(metrics.memo_groups);
 }
-BENCHMARK_CAPTURE(BM_OrcaJoinSearch, chain, JoinGraph::kChain)
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, chain, NationJoinShape::kChain)
     ->DenseRange(4, 12)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_OrcaJoinSearch, star, JoinGraph::kStar)
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, star, NationJoinShape::kStar)
     ->DenseRange(4, 12)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_OrcaJoinSearch, cycle, JoinGraph::kCycle)
+BENCHMARK_CAPTURE(BM_OrcaJoinSearch, cycle, NationJoinShape::kCycle)
     ->DenseRange(4, 12)
     ->Unit(benchmark::kMillisecond);
 

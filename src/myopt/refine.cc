@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -421,7 +420,11 @@ struct PooledConjunct {
   RefSet local_refs;          ///< block-local leaves referenced
   bool is_on = false;         ///< ON conjunct of an outer/semi/anti join
   JoinType on_type = JoinType::kInner;
-  std::set<int> on_right_set; ///< right-side leaf set identifying the join
+  RefSet on_right_set;        ///< right-side leaf set identifying the join
+  /// For an inner/cross ON conjunct nested in the right side of an outer,
+  /// semi or anti join: the leaves of the innermost such right side, which
+  /// the conjunct must not leave. Empty when not nested.
+  RefSet nest;
   bool consumed = false;
 };
 
@@ -748,57 +751,61 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
   if (skel.root != nullptr) {
     // ---- Gather the conjunct pool. ----
     std::vector<PooledConjunct> pool;
-    auto add_where = [&](Expr* e) {
+    auto add_where = [&](Expr* e, const RefSet& nest) {
       std::vector<Expr*> conjs;
       SplitConjunctsMutable(e, &conjs);
       for (Expr* c : conjs) {
         PooledConjunct pc;
         pc.expr = c;
         pc.local_refs = LocalRefs(*c, block_leaves, num_refs_);
+        pc.nest = nest;
         pool.push_back(std::move(pc));
       }
     };
-    if (block->where) add_where(block->where.get());
+    if (block->where) add_where(block->where.get(), {});
     {
-      std::vector<TableRef*> stack;
-      for (auto& t : block->from) stack.push_back(t.get());
+      // Each join with the right side of the innermost outer/semi/anti
+      // join above it (empty at top level).
+      std::vector<std::pair<TableRef*, RefSet>> stack;
+      for (auto& t : block->from) stack.emplace_back(t.get(), RefSet());
       while (!stack.empty()) {
-        TableRef* r = stack.back();
+        auto [r, nest] = std::move(stack.back());
         stack.pop_back();
         if (r->kind != TableRef::Kind::kJoin) continue;
-        if (r->on != nullptr) {
-          if (r->join_type == JoinType::kInner ||
-              r->join_type == JoinType::kCross) {
-            add_where(r->on.get());
+        if (r->join_type == JoinType::kInner ||
+            r->join_type == JoinType::kCross) {
+          if (r->on != nullptr) add_where(r->on.get(), nest);
+          stack.emplace_back(r->left.get(), nest);
+          stack.emplace_back(r->right.get(), std::move(nest));
+          continue;
+        }
+        RefSet right_leaves(static_cast<size_t>(num_refs_), 0);
+        std::vector<TableRef*> st2{r->right.get()};
+        while (!st2.empty()) {
+          TableRef* x = st2.back();
+          st2.pop_back();
+          if (x->kind == TableRef::Kind::kJoin) {
+            st2.push_back(x->left.get());
+            st2.push_back(x->right.get());
           } else {
-            std::set<int> right_set;
-            std::vector<TableRef*> leaves;
-            std::vector<TableRef*> st2{r->right.get()};
-            while (!st2.empty()) {
-              TableRef* x = st2.back();
-              st2.pop_back();
-              if (x->kind == TableRef::Kind::kJoin) {
-                st2.push_back(x->left.get());
-                st2.push_back(x->right.get());
-              } else {
-                right_set.insert(x->ref_id);
-              }
-            }
-            std::vector<Expr*> conjs;
-            SplitConjunctsMutable(r->on.get(), &conjs);
-            for (Expr* c : conjs) {
-              PooledConjunct pc;
-              pc.expr = c;
-              pc.local_refs = LocalRefs(*c, block_leaves, num_refs_);
-              pc.is_on = true;
-              pc.on_type = r->join_type;
-              pc.on_right_set = right_set;
-              pool.push_back(std::move(pc));
-            }
+            right_leaves[static_cast<size_t>(x->ref_id)] = 1;
           }
         }
-        stack.push_back(r->left.get());
-        stack.push_back(r->right.get());
+        if (r->on != nullptr) {
+          std::vector<Expr*> conjs;
+          SplitConjunctsMutable(r->on.get(), &conjs);
+          for (Expr* c : conjs) {
+            PooledConjunct pc;
+            pc.expr = c;
+            pc.local_refs = LocalRefs(*c, block_leaves, num_refs_);
+            pc.is_on = true;
+            pc.on_type = r->join_type;
+            pc.on_right_set = right_leaves;
+            pool.push_back(std::move(pc));
+          }
+        }
+        stack.emplace_back(r->left.get(), std::move(nest));
+        stack.emplace_back(r->right.get(), std::move(right_leaves));
       }
     }
 
@@ -807,7 +814,6 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
       const SkeletonNode* node;
       const SkeletonNode* parent;
       RefSet leaves;
-      std::set<int> leaf_set;
     };
     std::vector<NodeInfo> nodes;
     {
@@ -820,9 +826,6 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
         info.node = n;
         info.parent = parent;
         info.leaves = LeafSetOf(n);
-        for (int i = 0; i < num_refs_; ++i) {
-          if (info.leaves[static_cast<size_t>(i)]) info.leaf_set.insert(i);
-        }
         nodes.push_back(std::move(info));
         if (n->is_join) {
           stack.push_back({n->left.get(), n});
@@ -879,7 +882,7 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
           if (!i.node->is_join) continue;
           if (i.node->join_type != pc.on_type) continue;
           const NodeInfo* r = info_of(i.node->right.get());
-          if (r != nullptr && r->leaf_set == pc.on_right_set) {
+          if (r != nullptr && r->leaves == pc.on_right_set) {
             join = i.node;
             break;
           }
@@ -912,7 +915,12 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
       // WHERE-tagged conjunct: lowest covering node, hoisted above any
       // LEFT join whose NULL-extended (inner) side it references — filtering
       // such predicates below the join would change outer-join semantics.
-      const SkeletonNode* target = lowest_covering(pc.local_refs);
+      // A nested inner join's ON stays inside its nest: it is hoisted only
+      // above LEFT joins within the nest, and a constant one is evaluated
+      // at the nest rather than at the block's first leaf.
+      const bool nested = !pc.nest.empty();
+      const SkeletonNode* target = lowest_covering(
+          nested && Empty(pc.local_refs) ? pc.nest : pc.local_refs);
       bool above = target->is_join && target->join_type != JoinType::kInner;
       bool changed = true;
       while (changed) {
@@ -923,6 +931,7 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
           }
           RefSet rset = LeafSetOf(i.node->right.get());
           if (!Intersects(pc.local_refs, rset)) continue;
+          if (nested && Subset(pc.nest, rset)) continue;  // encloses the nest
           // The conjunct must evaluate at or above this left join.
           if (target != i.node && !is_ancestor(target, i.node)) {
             target = i.node;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <unordered_map>
 
@@ -111,8 +112,31 @@ class JoinSearch {
                : -1;
   }
   /// Fixes the conjunct facts the search reads on every pair: equality
-  /// flags, ON-conjunct unit masks and the mask of dependent units.
+  /// flags, ON-conjunct unit masks, the mask of dependent units and the
+  /// join graph.
   void PrepareConjuncts();
+  /// The units of `within` reachable from `seed` (inside `within`) over
+  /// the join graph, using only edges that lie wholly inside `within`.
+  uint64_t Reach(uint64_t seed, uint64_t within) const;
+  /// True when the join graph restricted to `set` is connected, so `set`
+  /// can be planned without a cross product at its root.
+  bool GraphConnected(uint64_t set) const {
+    return Reach(set & (~set + 1), set) == set;
+  }
+  /// Sets `cuts` to every `a` holding the lowest unit of `set` such that
+  /// `a` and the non-empty `set \ a` are both GraphConnected, in
+  /// descending order. `set` must be GraphConnected. Stops and returns
+  /// false once there are more than `max_cuts`.
+  bool EnumerateCuts(uint64_t set, size_t max_cuts,
+                     std::vector<uint64_t>* cuts) const;
+  /// EnumerateCuts from a state: `a` holds the lowest unit and is
+  /// connected in `neighbors_`; `excluded` stays outside every cut emitted.
+  /// Nothing is emitted once `cuts` holds `limit` entries.
+  void ExpandCut(uint64_t set, uint64_t a, uint64_t excluded, size_t limit,
+                 std::vector<uint64_t>* cuts) const;
+  /// Emits `a` (whose complement is connected), then grows it.
+  void GrowCut(uint64_t set, uint64_t a, uint64_t excluded, size_t limit,
+               std::vector<uint64_t>* cuts) const;
   /// True when every dependent (non-inner) unit in `set` has its whole
   /// dependency inside `set`.
   bool Resolved(uint64_t set) const;
@@ -139,7 +163,8 @@ class JoinSearch {
   double SketchJoinRows(uint64_t set) const;
   CardSource SourceOf(uint64_t set) const;
   GroupState& GroupOf(uint64_t set);
-  Status OptimizeSet(uint64_t set);
+  /// Plans `set` (once; later calls return the memoized group).
+  Result<GroupState*> OptimizeSet(uint64_t set);
   Status TryPartition(uint64_t set, uint64_t a, uint64_t b, GroupState* g,
                       bool allow_cross);
   Status GreedyPlan(uint64_t set);
@@ -169,6 +194,14 @@ class JoinSearch {
   std::vector<Unit> units_;
   std::vector<Conjunct> pool_;
   uint64_t non_inner_ = 0;  ///< units with a non-inner join type
+  /// The join graph. Every conjunct (a dependent unit's ON conjunct also
+  /// counts that unit) is an edge over its units: a binary one is a link,
+  /// a wider one a hyperedge, which joins its units only when all of them
+  /// are present. `neighbors_` treats hyperedges as cliques, a superset of
+  /// the graph that the cut enumeration grows along.
+  std::vector<uint64_t> links_;
+  std::vector<uint64_t> hyperedges_;
+  std::vector<uint64_t> neighbors_;
   std::unordered_map<uint64_t, GroupState> memo_;
   std::unordered_map<uint64_t, Card> cards_;
   int64_t budget_ = 0;
@@ -348,16 +381,105 @@ Status JoinSearch::Flatten(OrcaLogicalOp* root) {
 }
 
 void JoinSearch::PrepareConjuncts() {
+  links_.assign(units_.size(), 0);
+  neighbors_.assign(units_.size(), 0);
+  auto add_edge = [&](uint64_t units) {
+    if (std::popcount(units) < 2) return;
+    const bool binary = std::popcount(units) == 2;
+    for (uint64_t m = units; m != 0; m &= m - 1) {
+      const uint64_t others = units & ~(m & (~m + 1));
+      neighbors_[static_cast<size_t>(std::countr_zero(m))] |= others;
+      if (binary) links_[static_cast<size_t>(std::countr_zero(m))] |= others;
+    }
+    if (!binary && std::find(hyperedges_.begin(), hyperedges_.end(),
+                             units) == hyperedges_.end()) {
+      hyperedges_.push_back(units);
+    }
+  };
   for (Conjunct& c : pool_) {
     c.equality = StatsProvider::IsColumnEquality(*c.expr);
+    add_edge(c.units);
   }
   for (size_t u = 0; u < units_.size(); ++u) {
     if (units_[u].join_type == JoinType::kInner) continue;
-    non_inner_ |= 1ULL << u;
+    const uint64_t bit = 1ULL << u;
+    non_inner_ |= bit;
     for (Conjunct& c : units_[u].join_conds) {
       c.units = UnitMask(*c.expr);
       c.equality = StatsProvider::IsColumnEquality(*c.expr);
+      add_edge(c.units | bit);
     }
+  }
+}
+
+uint64_t JoinSearch::Reach(uint64_t seed, uint64_t within) const {
+  uint64_t reached = seed;
+  for (uint64_t frontier = seed; frontier != 0;) {
+    uint64_t next = 0;
+    for (uint64_t m = frontier; m != 0; m &= m - 1) {
+      next |= links_[static_cast<size_t>(std::countr_zero(m))];
+    }
+    for (uint64_t e : hyperedges_) {
+      if ((e & ~within) == 0 && (e & frontier) != 0) next |= e;
+    }
+    frontier = next & within & ~reached;
+    reached |= frontier;
+  }
+  return reached;
+}
+
+// Top-down generation of connected-subgraph/complement pairs, after
+// MinCutConservative (Fender & Moerkotte, ICDE 2011). Every `a` holding
+// the lowest unit and connected in `neighbors_` is reached once, by adding
+// one neighbour at a time under an exclusion set, as in DPccp's
+// EnumerateCsgRec (Moerkotte & Neumann, VLDB 2006). When `set \ a` falls
+// apart, a cut with a connected complement must swallow all of its
+// components but one, so the search jumps there instead of walking the
+// supersets in between. Without hyperedges every visited state emits a
+// cut and has at most |set| children, each checked in O(|set|) steps.
+bool JoinSearch::EnumerateCuts(uint64_t set, size_t max_cuts,
+                               std::vector<uint64_t>* cuts) const {
+  cuts->clear();
+  ExpandCut(set, set & (~set + 1), 0, max_cuts + 1, cuts);
+  if (cuts->size() > max_cuts) return false;
+  std::sort(cuts->begin(), cuts->end(), std::greater<>());
+  return true;
+}
+
+void JoinSearch::ExpandCut(uint64_t set, uint64_t a, uint64_t excluded,
+                           size_t limit, std::vector<uint64_t>* cuts) const {
+  const uint64_t rest = set & ~a;
+  uint64_t component = Reach(rest & (~rest + 1), rest);
+  if (component == rest) {
+    GrowCut(set, a, excluded, limit, cuts);
+    return;
+  }
+  // Keep one component as the complement. The excluded units have to end
+  // up in it, so it is the one holding them when there are any.
+  for (uint64_t left = rest;;) {
+    if ((excluded & ~component) == 0) {
+      GrowCut(set, set & ~component, excluded, limit, cuts);
+    }
+    left &= ~component;
+    if (left == 0) return;
+    component = Reach(left & (~left + 1), rest);
+  }
+}
+
+void JoinSearch::GrowCut(uint64_t set, uint64_t a, uint64_t excluded,
+                         size_t limit, std::vector<uint64_t>* cuts) const {
+  if (cuts->size() >= limit) return;
+  // `neighbors_` also links the units of a hyperedge only partly in `a`.
+  if (hyperedges_.empty() || GraphConnected(a)) cuts->push_back(a);
+  uint64_t frontier = 0;
+  for (uint64_t m = a; m != 0; m &= m - 1) {
+    frontier |= neighbors_[static_cast<size_t>(std::countr_zero(m))];
+  }
+  frontier &= set & ~a & ~excluded;
+  for (uint64_t m = frontier; m != 0; m &= m - 1) {
+    const uint64_t v = m & (~m + 1);
+    if ((a | v) != set) ExpandCut(set, a | v, excluded, limit, cuts);
+    excluded |= v;
   }
 }
 
@@ -601,10 +723,10 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
     TAURUS_RETURN_IF_ERROR(governor_->ChargePartitionPair());
   }
 
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(a));
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(b));
-  GroupState& ga = GroupOf(a);
-  GroupState& gb = GroupOf(b);
+  TAURUS_ASSIGN_OR_RETURN(const GroupState* group_a, OptimizeSet(a));
+  TAURUS_ASSIGN_OR_RETURN(const GroupState* group_b, OptimizeSet(b));
+  const GroupState& ga = *group_a;
+  const GroupState& gb = *group_b;
   if (ga.cost == kInf || gb.cost == kInf) return Status::OK();
 
   bool connected = false;
@@ -695,13 +817,13 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
   return Status::OK();
 }
 
-Status JoinSearch::OptimizeSet(uint64_t set) {
+Result<GroupState*> JoinSearch::OptimizeSet(uint64_t set) {
   TAURUS_FAULT_POINT("orca.memo_explore");
   GroupState& g = GroupOf(set);
   if (governor_ != nullptr) {
     TAURUS_RETURN_IF_ERROR(governor_->ChargeMemoGroups(*groups_));
   }
-  if (g.done) return Status::OK();
+  if (g.done) return &g;
   g.done = true;  // set first; recursion on subsets only (strictly smaller)
   g.rows = Rows(set);
 
@@ -710,7 +832,7 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
     g.is_leaf = true;
     g.leaf_unit = u;
     g.cost = units_[static_cast<size_t>(u)].access_cost;
-    return Status::OK();
+    return &g;
   }
 
   int64_t budget_cap =
@@ -720,7 +842,8 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
   if (config_.strategy == JoinSearchStrategy::kGreedy ||
       budget_exhausted_ || budget_ > budget_cap) {
     budget_exhausted_ = budget_ > budget_cap || budget_exhausted_;
-    return GreedyPlan(set);
+    TAURUS_RETURN_IF_ERROR(GreedyPlan(set));
+    return &g;
   }
 
   bool bushy = config_.strategy == JoinSearchStrategy::kExhaustive2 &&
@@ -728,16 +851,35 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
 
   for (int pass = 0; pass < 2 && g.cost == kInf; ++pass) {
     // pass 0: connected partitions only; pass 1: allow cross products.
-    if (bushy) {
-      // Enumerate proper subsets a of set (canonicalized by containing the
-      // lowest bit), try both orientations.
+    // Both visit the cuts `a` holding the lowest unit in descending order
+    // and try (a, b) before (b, a), so strict-< ties resolve alike.
+    if (bushy && pass == 0) {
+      // Only cuts whose two halves are each connected: a disconnected half
+      // is a cross product, left to pass 1.
+      if (!GraphConnected(set)) continue;
+      std::vector<uint64_t> cuts;
+      if (!EnumerateCuts(set, static_cast<size_t>(budget_cap - budget_),
+                         &cuts)) {
+        // More cuts than pairs left in the budget (a dense graph): the set
+        // completes greedily, as after the budget runs out, rather than
+        // holding every cut.
+        budget_exhausted_ = true;
+        break;
+      }
+      for (uint64_t a : cuts) {
+        const uint64_t b = set & ~a;
+        if (!Connected(a, b)) continue;
+        TAURUS_RETURN_IF_ERROR(TryPartition(set, a, b, &g, false));
+        TAURUS_RETURN_IF_ERROR(TryPartition(set, b, a, &g, false));
+        if (budget_ > budget_cap) break;
+      }
+    } else if (bushy) {
       uint64_t low = set & (~set + 1);
       for (uint64_t a = (set - 1) & set; a != 0; a = (a - 1) & set) {
         if ((a & low) == 0) continue;
         uint64_t b = set & ~a;
-        if (pass == 0 && !Connected(a, b)) continue;
-        TAURUS_RETURN_IF_ERROR(TryPartition(set, a, b, &g, pass == 1));
-        TAURUS_RETURN_IF_ERROR(TryPartition(set, b, a, &g, pass == 1));
+        TAURUS_RETURN_IF_ERROR(TryPartition(set, a, b, &g, true));
+        TAURUS_RETURN_IF_ERROR(TryPartition(set, b, a, &g, true));
         if (budget_ > budget_cap) break;
       }
     } else {
@@ -759,9 +901,9 @@ Status JoinSearch::OptimizeSet(uint64_t set) {
   if (g.cost == kInf) {
     // Dependency structure defeated the enumerator; fall back to greedy.
     g.done = false;
-    return GreedyPlan(set);
+    TAURUS_RETURN_IF_ERROR(GreedyPlan(set));
   }
-  return Status::OK();
+  return &g;
 }
 
 Status JoinSearch::GreedyPlan(uint64_t set) {
@@ -800,7 +942,7 @@ Status JoinSearch::GreedyPlan(uint64_t set) {
     GroupState cand;
     cand.cost = kInf;
     TAURUS_RETURN_IF_ERROR(GreedyPlan(rest));
-    TAURUS_RETURN_IF_ERROR(OptimizeSet(bit));
+    TAURUS_RETURN_IF_ERROR(OptimizeSet(bit).status());
     TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &cand, false));
     if (cand.cost < best_cost) {
       best_cost = cand.cost;
@@ -822,7 +964,7 @@ Status JoinSearch::GreedyPlan(uint64_t set) {
       GroupState cand;
       cand.cost = kInf;
       TAURUS_RETURN_IF_ERROR(GreedyPlan(rest));
-      TAURUS_RETURN_IF_ERROR(OptimizeSet(bit));
+      TAURUS_RETURN_IF_ERROR(OptimizeSet(bit).status());
       TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &cand, true));
       if (cand.cost < best_cost) {
         best_cost = cand.cost;
@@ -907,9 +1049,8 @@ Result<std::unique_ptr<OrcaPhysicalOp>> JoinSearch::Run() {
   uint64_t full = units_.size() == 64
                       ? ~0ULL
                       : ((1ULL << units_.size()) - 1);
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(full));
-  GroupState& g = GroupOf(full);
-  if (g.cost == kInf) {
+  TAURUS_ASSIGN_OR_RETURN(const GroupState* g, OptimizeSet(full));
+  if (g->cost == kInf) {
     return Status::Internal("optimizer produced no plan");
   }
   return Extract(full);

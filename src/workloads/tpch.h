@@ -30,6 +30,14 @@ Status LoadTpch(Database* db, double scale_factor, uint64_t seed = 20220329);
 /// The 22 TPC-H queries (index 0 = Q1 ... index 21 = Q22).
 const std::vector<std::string>& TpchQueries();
 
+/// Join graphs over aliases of `nation`, whose join-search effort has
+/// closed forms.
+enum class NationJoinShape { kChain, kStar, kCycle };
+
+/// A count(*) over `n` aliases of `nation` joined on n_nationkey: a chain
+/// t0-t1-...-t(n-1), a star around t0, or the chain closed into a cycle.
+std::string NationJoinGraphQuery(NationJoinShape shape, int n);
+
 /// Convenience: schema + load.
 inline Status SetupTpch(Database* db, double scale_factor,
                         uint64_t seed = 20220329) {

@@ -314,4 +314,22 @@ ORDER BY cntrycode)"};
   return *kQueries;
 }
 
+std::string NationJoinGraphQuery(NationJoinShape shape, int n) {
+  std::string from;
+  std::string where;
+  auto join = [&](int a, int b) {
+    if (!where.empty()) where += " AND ";
+    where += "t" + std::to_string(a) + ".n_nationkey = t" +
+             std::to_string(b) + ".n_nationkey";
+  };
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) from += ", ";
+    from += "nation t" + std::to_string(i);
+    if (i == 0) continue;
+    join(shape == NationJoinShape::kStar ? 0 : i - 1, i);
+  }
+  if (shape == NationJoinShape::kCycle && n > 2) join(n - 1, 0);
+  return "SELECT count(*) FROM " + from + " WHERE " + where;
+}
+
 }  // namespace taurus

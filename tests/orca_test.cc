@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "bridge/parse_tree_converter.h"
 #include "frontend/prepare.h"
 #include "mdp/stats_adapter.h"
@@ -7,6 +12,7 @@
 #include "orca/optimizer.h"
 #include "parser/parser.h"
 #include "storage/storage.h"
+#include "workloads/tpch.h"
 
 namespace taurus {
 namespace {
@@ -187,17 +193,21 @@ TEST_F(OrcaTest, MemoGroupIdsAssigned) {
 }
 
 TEST_F(OrcaTest, GreedyCheaperThanExhaustive2InEffort) {
+  // A 4-unit chain, dim_a - f1 - f2 - dim_b. The name dates from when
+  // EXHAUSTIVE2 also costed cross products; costing connected pairs only,
+  // it now does less work than GREEDY, whose GreedyPlan plans every subset
+  // left after removing units (ROADMAP item 12). Both counts are pinned.
   const std::string sql =
       "SELECT COUNT(*) FROM fact f1, fact f2, dim_a, dim_b WHERE "
       "f1.f_id = f2.f_id AND f1.f_a = a_id AND f2.f_b = b_id";
   OrcaConfig config;
   config.strategy = JoinSearchStrategy::kGreedy;
   ASSERT_TRUE(OptimizeSql(sql, config).ok());
-  int64_t greedy = last_partitions_;
+  EXPECT_EQ(last_partitions_, 26);
   config.strategy = JoinSearchStrategy::kExhaustive2;
   ASSERT_TRUE(OptimizeSql(sql, config).ok());
-  int64_t ex2 = last_partitions_;
-  EXPECT_LT(greedy, ex2);
+  // The chain closed form (n^3 - n) / 3 at n = 4.
+  EXPECT_EQ(last_partitions_, 20);
 }
 
 TEST_F(OrcaTest, DependentUnitsRespectOrdering) {
@@ -224,6 +234,153 @@ TEST_F(OrcaTest, CostsAndRowsPopulated) {
   EXPECT_GT((*plan)->cost, 0.0);
   EXPECT_GT((*plan)->rows, 100.0);  // ~1000 rows expected
   EXPECT_LT((*plan)->rows, 10000.0);
+}
+
+// ---------------------------------------------------------------------------
+// EXHAUSTIVE2 join enumeration: connected pairs, cross-product fallback
+// ---------------------------------------------------------------------------
+
+class JoinEnumerationTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = std::make_unique<Database>();
+    ASSERT_TRUE(db_->ExecuteSql("CREATE TABLE nation (n_nationkey INT NOT "
+                                "NULL PRIMARY KEY, n_name VARCHAR(25) NOT "
+                                "NULL)")
+                    .ok());
+    std::vector<Row> nations;
+    for (int i = 0; i < 25; ++i) {
+      nations.push_back({Value::Int(i), Value::Str("n" + std::to_string(i))});
+    }
+    ASSERT_TRUE(db_->BulkLoad("nation", std::move(nations)).ok());
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_TRUE(db_->ExecuteSql(std::string("CREATE TABLE ") + name +
+                                  " (x INT NOT NULL, y INT NOT NULL, "
+                                  "z INT NOT NULL)")
+                      .ok());
+      std::vector<Row> rows;
+      for (int i = 0; i < 12; ++i) {
+        rows.push_back({Value::Int(i % 4), Value::Int(i % 3), Value::Int(i)});
+      }
+      ASSERT_TRUE(db_->BulkLoad(name, std::move(rows)).ok());
+    }
+    ASSERT_TRUE(db_->AnalyzeAll().ok());
+    db_->orca_config().strategy = JoinSearchStrategy::kExhaustive2;
+  }
+  static void TearDownTestSuite() { db_.reset(); }
+
+  /// The search effort of EXHAUSTIVE2 on `sql`, on the Orca path.
+  static OrcaPathMetrics Exhaustive2Effort(const std::string& sql) {
+    auto r = db_->Query(sql, OptimizerPath::kOrca);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.ok() && r->used_orca && !r->fell_back) << sql;
+    return db_->last_orca_metrics();
+  }
+
+  /// Plans `sql` with EXHAUSTIVE2 and checks its rows against the MySQL
+  /// path's, which must not be empty.
+  static void ExpectMySqlRows(const std::string& sql, int64_t pairs) {
+    SCOPED_TRACE(sql);
+    auto want = db_->Query(sql, OptimizerPath::kMySql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_FALSE(want->rows.empty()) << "an empty result checks nothing";
+    auto got = db_->Query(sql, OptimizerPath::kOrca);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->used_orca && !got->fell_back);
+    EXPECT_EQ(db_->last_orca_metrics().partitions_evaluated, pairs);
+    EXPECT_EQ(SortedText(got->rows), SortedText(want->rows));
+  }
+
+  static std::string SortedText(std::vector<Row> rows) {
+    std::vector<std::string> lines;
+    for (const Row& r : rows) lines.push_back(RowToString(r));
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    for (const std::string& l : lines) out += l + "\n";
+    return out;
+  }
+
+  static std::unique_ptr<Database> db_;
+};
+
+std::unique_ptr<Database> JoinEnumerationTest::db_;
+
+// The closed forms count the connected subsets (groups) and the
+// connected-subgraph/complement pairs in both orientations (Moerkotte &
+// Neumann, VLDB 2006): no cross product is costed, and no pair is missed.
+TEST_F(JoinEnumerationTest, CostsConnectedPairsOnly) {
+  for (int n : {3, 4, 8, 12}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const int64_t m = n;
+    OrcaPathMetrics chain =
+        Exhaustive2Effort(NationJoinGraphQuery(NationJoinShape::kChain, n));
+    EXPECT_EQ(chain.partitions_evaluated, (m * m * m - m) / 3);
+    EXPECT_EQ(chain.memo_groups, m * (m + 1) / 2);
+    OrcaPathMetrics star =
+        Exhaustive2Effort(NationJoinGraphQuery(NationJoinShape::kStar, n));
+    EXPECT_EQ(star.partitions_evaluated, (m - 1) << (m - 1));
+    EXPECT_EQ(star.memo_groups, (int64_t{1} << (m - 1)) + m - 1);
+    OrcaPathMetrics cycle =
+        Exhaustive2Effort(NationJoinGraphQuery(NationJoinShape::kCycle, n));
+    EXPECT_EQ(cycle.partitions_evaluated, m * m * m - 2 * m * m + m);
+    EXPECT_EQ(cycle.memo_groups, m * m - m + 1);
+  }
+}
+
+TEST_F(JoinEnumerationTest, DenseGraphOverBudgetCompletesGreedily) {
+  // Eight aliases joined pairwise: the full set alone has 127 cuts, more
+  // than the budget, so the search plans greedily instead of holding them.
+  std::string where;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = i + 1; j < 8; ++j) {
+      where += std::string(where.empty() ? "" : " AND ") + "t" +
+               std::to_string(i) + ".n_nationkey = t" + std::to_string(j) +
+               ".n_nationkey";
+    }
+  }
+  const std::string sql =
+      "SELECT count(*) FROM nation t0, nation t1, nation t2, nation t3, "
+      "nation t4, nation t5, nation t6, nation t7 WHERE " + where;
+  auto want = db_->Query(sql, OptimizerPath::kMySql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  db_->orca_config().exhaustive2_pair_budget = 100;
+  auto got = db_->Query(sql, OptimizerPath::kOrca);
+  const OrcaPathMetrics effort = db_->last_orca_metrics();
+  db_->orca_config().exhaustive2_pair_budget =
+      OrcaConfig().exhaustive2_pair_budget;
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->used_orca && !got->fell_back);
+  // Without the budget: 3^8 - 2^9 + 1 = 6,050 pairs. Over it, every pair
+  // is GreedyPlan's, which plans all 2^8 - 1 subsets of a clique (ROADMAP
+  // item 12), so this count is pinned as well as bounded.
+  EXPECT_LT(effort.partitions_evaluated, 6050);
+  EXPECT_EQ(effort.partitions_evaluated, 1016);
+  EXPECT_EQ(SortedText(got->rows), SortedText(want->rows));
+}
+
+// Shapes where no split has two connected halves that can be joined, so
+// the search falls back to cross products (pass 1). The pair counts are
+// pass 1's alone.
+TEST_F(JoinEnumerationTest, DisconnectedGraphFallsBackToCrossProducts) {
+  // Both orientations of the one split.
+  ExpectMySqlRows("SELECT a.z, b.z FROM a, b WHERE a.x = 1 AND b.y = 2", 2);
+}
+
+TEST_F(JoinEnumerationTest, ThreeUnitConjunctFallsBackToCrossProducts) {
+  // The conjunct joins all three units only once all three are present:
+  // 3 splits of {a, b, c} and 1 of each pair, in both orientations.
+  ExpectMySqlRows("SELECT a.z, b.z, c.z FROM a, b, c WHERE a.x + b.y = c.z",
+                  12);
+}
+
+TEST_F(JoinEnumerationTest, LeftJoinDependencyFallsBackToCrossProducts) {
+  // b depends on {a, c}, and a and c share no conjunct: every split with
+  // two connected halves leaves b without its dependency. Pass 1 costs
+  // {a, c} then b, and both orientations of {a, c}.
+  ExpectMySqlRows(
+      "SELECT a.z, b.z, c.z FROM a CROSS JOIN c LEFT JOIN b ON b.x = c.x "
+      "AND b.y = a.y WHERE a.z < 3 AND c.z < 5",
+      3);
 }
 
 // ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ TEST_F(RowBufferingTest, GroupRepresentativesFromCorrelatedDerivedTable) {
 TEST_F(RowBufferingTest, JoinRebuiltUnderNestedLoop) {
   // The parenthesized inner join is the right side of a non-equi left
   // join, re-opened for every grp row, while the group and sort buffers
-  // above keep rows it produced for earlier ones. (Both optimizers plan
-  // the nest as a nested loop today, hoisting its ON above the left join,
-  // so no hash join is rebuilt here; the shape is asserted as planned.)
+  // above keep rows it produced for earlier ones. (Its ON stays inside the
+  // nest, so both optimizers plan the nest as a hash join, rebuilt for
+  // every grp row.)
   const std::string from =
       " FROM grp g LEFT JOIN (item i JOIN tag t ON i.i_val = t.t_val) "
       "ON i.i_grp < g.g_id";
