@@ -88,6 +88,29 @@ Database* Db() {
                       Value::Str(rng.NextString(40, 79))});
     }
     if (!d->BulkLoad("wide_ord", std::move(wide)).ok()) std::abort();
+    // Expression legs: a lineitem-like table with Q1's two one-letter
+    // group keys, its price/discount/tax arithmetic and Q12's ship modes.
+    if (!d->ExecuteSql("CREATE TABLE ag (a_id INT NOT NULL PRIMARY KEY, "
+                       "a_flag VARCHAR(1) NOT NULL, "
+                       "a_status VARCHAR(1) NOT NULL, "
+                       "a_price DOUBLE NOT NULL, a_disc DOUBLE NOT NULL, "
+                       "a_tax DOUBLE NOT NULL, a_mode VARCHAR(10) NOT NULL)")
+             .ok()) {
+      std::abort();
+    }
+    const char* flags[] = {"A", "N", "R"};
+    const char* modes[] = {"AIR", "FOB", "MAIL", "RAIL",
+                           "REG AIR", "SHIP", "TRUCK"};
+    std::vector<Row> ag;
+    for (int i = 0; i < 60000; ++i) {
+      ag.push_back({Value::Int(i), Value::Str(flags[rng.Uniform(0, 2)]),
+                    Value::Str(rng.Uniform(0, 1) == 0 ? "F" : "O"),
+                    Value::Double(900 + rng.NextDouble() * 1e5),
+                    Value::Double(rng.Uniform(0, 10) / 100.0),
+                    Value::Double(rng.Uniform(0, 8) / 100.0),
+                    Value::Str(modes[rng.Uniform(0, 6)])});
+    }
+    if (!d->BulkLoad("ag", std::move(ag)).ok()) std::abort();
     if (!d->AnalyzeAll().ok()) std::abort();
     return d;
   }();
@@ -256,7 +279,9 @@ void RunBatchVsVolcano(bool want_json) {
   // through f_k, 100 matches a probe, filtered on `f`), and the two
   // row-buffering mechanisms: a Q18-shaped GROUP BY with 15K groups (one
   // representative row each) and a Q13-shaped left join whose 15K-row
-  // build side has wide rows.
+  // build side has wide rows. The expression legs: Q1-shaped arithmetic
+  // aggregates under two string group keys, and a two-item IN list next
+  // to the equality filter it widens (Q12's l_shipmode IN (...)).
   const Leg legs[] = {
       {"index_nl_join",
        "SELECT COUNT(*), SUM(f.v) FROM d, f WHERE f.k = d.id AND f.v < 300",
@@ -276,6 +301,15 @@ void RunBatchVsVolcano(bool want_json) {
       {"hash_join_probe",
        "SELECT COUNT(*) FROM f f1, f f2 WHERE f1.id = f2.k",
        OptimizerPath::kOrca},
+      {"agg_arith",
+       "SELECT a_flag, a_status, SUM(a_price * (1 - a_disc) * (1 + a_tax)), "
+       "AVG(a_disc), COUNT(*) FROM ag GROUP BY a_flag, a_status",
+       OptimizerPath::kMySql},
+      {"in_list_filter",
+       "SELECT COUNT(*) FROM ag WHERE a_mode IN ('MAIL', 'SHIP')",
+       OptimizerPath::kMySql},
+      {"eq_filter", "SELECT COUNT(*) FROM ag WHERE a_mode = 'MAIL'",
+       OptimizerPath::kMySql},
   };
   const int repeat = 5;
   std::printf("Batch vs Volcano executor (best of %d runs)\n", repeat);

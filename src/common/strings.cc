@@ -62,8 +62,41 @@ bool LikeMatchImpl(std::string_view v, size_t vi, std::string_view p,
 
 }  // namespace
 
-bool SqlLikeMatch(std::string_view value, std::string_view pattern) {
+bool SqlLikeMatchRecursive(std::string_view value, std::string_view pattern) {
   return LikeMatchImpl(value, 0, pattern, 0);
+}
+
+bool SqlLikeMatch(std::string_view value, std::string_view pattern) {
+  if (pattern.find('_') != std::string_view::npos) {
+    return LikeMatchImpl(value, 0, pattern, 0);
+  }
+  const size_t first = pattern.find('%');
+  if (first == std::string_view::npos) return value == pattern;
+  // pattern = head % seg % ... % seg % tail: the head and tail are
+  // anchored, and each middle segment matches at its leftmost position
+  // after the previous one, which leaves the most room for the rest.
+  const size_t last = pattern.rfind('%');
+  const std::string_view head = pattern.substr(0, first);
+  const std::string_view tail = pattern.substr(last + 1);
+  if (value.size() < head.size() + tail.size() ||
+      value.substr(0, head.size()) != head ||
+      value.substr(value.size() - tail.size()) != tail) {
+    return false;
+  }
+  const std::string_view mid = value.substr(
+      head.size(), value.size() - head.size() - tail.size());
+  size_t at = 0;
+  for (size_t p = first; p < last;) {
+    const size_t next = pattern.find('%', p + 1);
+    const std::string_view seg = pattern.substr(p + 1, next - p - 1);
+    if (!seg.empty()) {
+      at = mid.find(seg, at);
+      if (at == std::string_view::npos) return false;
+      at += seg.size();
+    }
+    p = next;
+  }
+  return true;
 }
 
 std::string JsonEscape(std::string_view s) {

@@ -19,8 +19,14 @@ bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b);
 std::vector<std::string> SplitString(std::string_view s, char sep);
 
 /// SQL LIKE predicate with '%' and '_' wildcards (case-sensitive, as in
-/// binary collation). No escape character support.
+/// binary collation). No escape character support. A pattern without '_'
+/// matches by substring search in one pass; one with '_' goes to
+/// SqlLikeMatchRecursive.
 bool SqlLikeMatch(std::string_view value, std::string_view pattern);
+
+/// The general LIKE matcher: backtracks over every '%'. Same answers as
+/// SqlLikeMatch, which the differential test checks.
+bool SqlLikeMatchRecursive(std::string_view value, std::string_view pattern);
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).

@@ -174,12 +174,12 @@ class BatchHashJoinProbe : public BatchOp {
     keys_.resize(nk);
     for (size_t k = 0; k < nk; ++k) {
       TAURUS_RETURN_IF_ERROR(
-          EvalExprBatch(*layout_.probe_keys[k], *in_, ctx, &keys_[k]));
+          EvalBatchValues(*layout_.probe_keys[k], *in_, ctx, &keys_[k]));
     }
     null_key_.assign(n, 0);
     hashes_.assign(n, 0x9e3779b97f4a7c15ULL);
     for (size_t k = 0; k < nk; ++k) {
-      const std::vector<Value>& col = keys_[k];
+      const BatchValues& col = keys_[k];
       for (size_t i = 0; i < n; ++i) {
         if (col[i].is_null()) null_key_[i] = 1;
         hashes_[i] = HashCombine(hashes_[i], col[i].Hash());
@@ -233,7 +233,7 @@ class BatchHashJoinProbe : public BatchOp {
       const Value* cand = state.Key(it->second);
       bool eq = true;
       for (size_t k = 0; k < keys_.size(); ++k) {
-        if (Value::Compare(cand[k], keys_[k][i]) != 0) {
+        if (cand[k] != keys_[k][i]) {
           eq = false;
           break;
         }
@@ -293,7 +293,7 @@ class BatchHashJoinProbe : public BatchOp {
   Batch* in_ = nullptr;
   size_t in_pos_ = 0;
   bool row_ready_ = false;
-  std::vector<std::vector<Value>> keys_;  ///< per key expr, per sel entry
+  std::vector<BatchValues> keys_;  ///< per key expr, per sel entry
   std::vector<uint8_t> null_key_;
   std::vector<uint64_t> hashes_;
   std::vector<size_t> candidates_;
@@ -415,7 +415,7 @@ class BatchIndexNLJoin : public BatchOp {
     keys_.resize(nk);
     for (size_t k = 0; k < nk; ++k) {
       TAURUS_RETURN_IF_ERROR(
-          EvalExprBatch(*lookup_->lookup_keys[k], *in_, ctx, &keys_[k]));
+          EvalBatchValues(*lookup_->lookup_keys[k], *in_, ctx, &keys_[k]));
     }
     key_.resize(nk);
     return Status::OK();
@@ -429,7 +429,7 @@ class BatchIndexNLJoin : public BatchOp {
     pos_ = end_ = 0;
     for (size_t k = 0; k < keys_.size(); ++k) {
       if (keys_[k][i].is_null()) return;  // equality with NULL never matches
-      key_[k] = std::move(keys_[k][i]);  // each entry is probed once
+      key_[k] = keys_[k].Take(i);  // each entry is probed once
     }
     auto [b, e] = index_->EqualRange(key_);
     pos_ = b;
@@ -484,9 +484,9 @@ class BatchIndexNLJoin : public BatchOp {
   Batch* in_ = nullptr;
   size_t in_pos_ = 0;
   size_t pos_ = 0, end_ = 0;
-  std::vector<const Row*> outer_rows_;    ///< per outer ref, current row
-  std::vector<std::vector<Value>> keys_;  ///< per key expr, per sel entry
-  Row key_;                               ///< reused probe key
+  std::vector<const Row*> outer_rows_;  ///< per outer ref, current row
+  std::vector<BatchValues> keys_;       ///< per key expr, per sel entry
+  Row key_;                             ///< reused probe key
 };
 
 /// Frame->Batch adapter: drives a Volcano subtree row by row and buffers

@@ -530,7 +530,7 @@ class HashJoinIter : public FrameIter {
             const Value* cand = state.Key(it->second);
             bool eq = true;
             for (size_t i = 0; i < key.size(); ++i) {
-              if (Value::Compare(cand[i], key[i]) != 0) {
+              if (cand[i] != key[i]) {
                 eq = false;
                 break;
               }
@@ -863,21 +863,22 @@ class GroupByState {
   }
 
   /// Vectorized Consume: group keys and aggregate arguments are evaluated
-  /// as whole vectors over the batch, then folded per selected row in
-  /// selection order — same groups, same encounter order, same
-  /// representative frames as row-at-a-time consumption.
+  /// as whole vectors over the batch (column and literal leaves read in
+  /// place, see BatchValues), then folded per selected row in selection
+  /// order — same groups, same encounter order, same representative frames
+  /// as row-at-a-time consumption.
   Status ConsumeBatch(const Batch& b, ExecContext* ctx) {
     gcols_.resize(ng_);
     for (size_t g = 0; g < ng_; ++g) {
       TAURUS_RETURN_IF_ERROR(
-          EvalExprBatch(*plan_->group_exprs[g], b, ctx, &gcols_[g]));
+          EvalBatchValues(*plan_->group_exprs[g], b, ctx, &gcols_[g]));
     }
     acols_.resize(na_);
     for (size_t a = 0; a < na_; ++a) {
       const Expr& agg = *plan_->agg_exprs[a];
       if (agg.agg_func == AggFunc::kCountStar) continue;
       TAURUS_RETURN_IF_ERROR(
-          EvalExprBatch(*agg.children[0], b, ctx, &acols_[a]));
+          EvalBatchValues(*agg.children[0], b, ctx, &acols_[a]));
     }
     Frame scratch;
     for (size_t i = 0; i < b.sel.size(); ++i) {
@@ -987,7 +988,7 @@ class GroupByState {
   bool KeyEquals(size_t id, const KeyAt& key_at) const {
     const Value* key = keys_.data() + id * ng_;
     for (size_t g = 0; g < ng_; ++g) {
-      if (Value::Compare(key[g], key_at(g)) != 0) return false;
+      if (key[g] != key_at(g)) return false;
     }
     return true;
   }
@@ -1035,8 +1036,8 @@ class GroupByState {
   // Reused per-row / per-batch evaluation buffers.
   Row key_buf_;
   Value arg_buf_;
-  std::vector<std::vector<Value>> gcols_;
-  std::vector<std::vector<Value>> acols_;
+  std::vector<BatchValues> gcols_;
+  std::vector<BatchValues> acols_;
 };
 
 /// A buffered pre-sort row: its ORDER BY key plus the captured frame.
@@ -1284,17 +1285,17 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
         break;
       case PipeMode::kSort: {
         const size_t nk = plan.order_keys.size();
-        std::vector<std::vector<Value>> kcols(nk);
+        std::vector<BatchValues> kcols(nk);
         for (size_t k = 0; k < nk; ++k) {
           TAURUS_RETURN_IF_ERROR(
-              EvalExprBatch(*plan.order_keys[k].first, *b, ctx, &kcols[k]));
+              EvalBatchValues(*plan.order_keys[k].first, *b, ctx, &kcols[k]));
         }
         if (scratch.empty()) scratch = *b->base;
         for (size_t i = 0; i < b->sel.size(); ++i) {
           SortUnit u;
           u.sort_key.reserve(nk);
           for (size_t k = 0; k < nk; ++k) {
-            u.sort_key.push_back(std::move(kcols[k][i]));
+            u.sort_key.push_back(kcols[k].Take(i));
           }
           b->FillFrame(b->sel[i], &scratch);
           u.frame = OwnedFrame(scratch, copy_slots);
@@ -1304,15 +1305,15 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
       }
       case PipeMode::kPlain: {
         const size_t np = plan.projections.size();
-        std::vector<std::vector<Value>> pcols(np);
+        std::vector<BatchValues> pcols(np);
         for (size_t p = 0; p < np; ++p) {
           TAURUS_RETURN_IF_ERROR(
-              EvalExprBatch(*plan.projections[p], *b, ctx, &pcols[p]));
+              EvalBatchValues(*plan.projections[p], *b, ctx, &pcols[p]));
         }
         for (size_t i = 0; i < b->sel.size(); ++i) {
           Row row;
           row.reserve(np);
-          for (size_t p = 0; p < np; ++p) row.push_back(std::move(pcols[p][i]));
+          for (size_t p = 0; p < np; ++p) row.push_back(pcols[p].Take(i));
           rows->push_back(std::move(row));
         }
         break;

@@ -20,6 +20,18 @@ namespace taurus {
 
 class ThreadPool;
 
+/// A cached expression-subquery result.
+struct SubplanResult {
+  std::vector<Row> rows;
+  /// Non-correlated IN subqueries only, built by the first probe
+  /// (`in_index_built`): the non-NULL first-column values in
+  /// Value::Compare order, kept only when they all share one kind and none
+  /// is NaN, so a probe of that kind binary-searches them.
+  std::vector<const Value*> in_sorted;
+  bool in_index_built = false;
+  bool in_has_null = false;  ///< some first-column value is NULL
+};
+
 /// Per-query execution state: the storage handles, the compiled plan (for
 /// expression-subquery lookup), result caches and instrumentation counters.
 ///
@@ -43,7 +55,7 @@ struct ExecContext {
 
   /// Cache of non-correlated expression-subquery results (keyed by
   /// subplan id).
-  std::map<int, std::vector<Row>> subplan_cache;
+  std::map<int, SubplanResult> subplan_cache;
 
   /// Cache of non-correlated derived-table materializations (keyed by the
   /// derived BlockPlan). Without it, a CTE consumed inside a correlated

@@ -1,7 +1,9 @@
 #include "exec/expr_eval.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 
 #include "common/strings.h"
 #include "exec/block_executor.h"
@@ -29,19 +31,20 @@ int64_t TemporalToDays(const Value& v) {
 }  // namespace
 
 Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return EvalTotalArithmetic(l, r, std::plus<>());
+    case BinaryOp::kSub:
+      return EvalTotalArithmetic(l, r, std::minus<>());
+    case BinaryOp::kMul:
+      return EvalTotalArithmetic(l, r, std::multiplies<>());
+    default:
+      break;
+  }
   if (l.is_null() || r.is_null()) return Value::Null();
   bool both_int =
       l.kind() == Value::Kind::kInt && r.kind() == Value::Kind::kInt;
   switch (op) {
-    case BinaryOp::kAdd:
-      if (both_int) return Value::Int(l.AsInt() + r.AsInt());
-      return Value::Double(l.AsDouble() + r.AsDouble());
-    case BinaryOp::kSub:
-      if (both_int) return Value::Int(l.AsInt() - r.AsInt());
-      return Value::Double(l.AsDouble() - r.AsDouble());
-    case BinaryOp::kMul:
-      if (both_int) return Value::Int(l.AsInt() * r.AsInt());
-      return Value::Double(l.AsDouble() * r.AsDouble());
     case BinaryOp::kDiv: {
       double d = r.AsDouble();
       if (d == 0.0) return Value::Null();  // MySQL: division by zero -> NULL
@@ -89,6 +92,18 @@ Value EvalComparison(BinaryOp op, const Value& l, const Value& r) {
       break;
   }
   return Value::Bool(out);
+}
+
+Value EvalLike(const Value& v, const Value& pattern, bool negated) {
+  if (v.is_null() || pattern.is_null()) return Value::Null();
+  std::string vbuf, pbuf;
+  auto text = [](const Value& x, std::string* buf) -> std::string_view {
+    if (x.kind() == Value::Kind::kString) return x.AsString();
+    *buf = x.ToString();
+    return *buf;
+  };
+  const bool m = SqlLikeMatch(text(v, &vbuf), text(pattern, &pbuf));
+  return Value::Bool(negated ? !m : m);
 }
 
 Result<Value> EvalCast(const Value& v, TypeId target) {
@@ -269,11 +284,10 @@ Value EvalIntervalAdd(const Expr& expr, const Value& v) {
 
 namespace {
 
-/// Runs an expression subquery and returns its rows (cached when
+/// Runs an expression subquery and returns its result (cached when
 /// non-correlated).
-Result<const std::vector<Row>*> RunSubplan(const Expr& expr,
-                                           const Frame& frame,
-                                           ExecContext* ctx) {
+Result<SubplanResult*> RunSubplan(const Expr& expr, const Frame& frame,
+                                  ExecContext* ctx) {
   if (expr.subplan_id < 0 || ctx == nullptr || ctx->query == nullptr) {
     return Status::Internal("subquery was not compiled");
   }
@@ -285,10 +299,62 @@ Result<const std::vector<Row>*> RunSubplan(const Expr& expr,
   }
   TAURUS_ASSIGN_OR_RETURN(std::vector<Row> rows,
                           ExecuteBlock(*sp->plan, frame, ctx));
-  auto [it, inserted] =
-      ctx->subplan_cache.insert_or_assign(expr.subplan_id, std::move(rows));
-  (void)inserted;
-  return &it->second;
+  SubplanResult& res = ctx->subplan_cache[expr.subplan_id];
+  res = SubplanResult();
+  res.rows = std::move(rows);
+  return &res;
+}
+
+/// Sorts the non-NULL first-column values of a cached subquery result for
+/// binary search, when they all share one kind and none is NaN.
+void BuildInIndex(SubplanResult* res) {
+  res->in_index_built = true;
+  bool searchable = true;
+  for (const Row& r : res->rows) {
+    const Value& v = r[0];
+    if (v.is_null()) {
+      res->in_has_null = true;
+      continue;
+    }
+    if ((v.kind() == Value::Kind::kDouble && std::isnan(v.AsDouble())) ||
+        (!res->in_sorted.empty() &&
+         v.kind() != res->in_sorted.front()->kind())) {
+      searchable = false;
+    }
+    res->in_sorted.push_back(&v);
+  }
+  if (!searchable) {
+    res->in_sorted.clear();
+    return;
+  }
+  std::sort(res->in_sorted.begin(), res->in_sorted.end(),
+            [](const Value* a, const Value* b) { return *a < *b; });
+}
+
+/// `v IN (subquery)` over its result: NULL when `v` is NULL and the result
+/// is not empty, or when no value matched and some value was NULL.
+Value ProbeInSubquery(const Value& v, SubplanResult* res, bool reusable,
+                      bool negated) {
+  const std::vector<Row>& rows = res->rows;
+  if (v.is_null()) return rows.empty() ? Value::Bool(negated) : Value::Null();
+  if (reusable && !res->in_index_built) BuildInIndex(res);
+  if (!res->in_sorted.empty() && v.kind() == res->in_sorted.front()->kind()) {
+    auto it = std::lower_bound(
+        res->in_sorted.begin(), res->in_sorted.end(), &v,
+        [](const Value* a, const Value* b) { return *a < *b; });
+    if (it != res->in_sorted.end() && **it == v) return Value::Bool(!negated);
+    return res->in_has_null ? Value::Null() : Value::Bool(negated);
+  }
+  bool saw_null = false;
+  for (const Row& r : rows) {
+    if (r[0].is_null()) {
+      saw_null = true;
+      continue;
+    }
+    if (v == r[0]) return Value::Bool(!negated);
+  }
+  if (saw_null) return Value::Null();
+  return Value::Bool(negated);
 }
 
 }  // namespace
@@ -398,7 +464,7 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
           saw_null = true;
           continue;
         }
-        if (Value::Compare(v, item) == 0) {
+        if (v == item) {
           return Value::Bool(!expr.negated);
         }
       }
@@ -421,42 +487,33 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
                               EvalExpr(*expr.children[0], frame, agg, ctx));
       TAURUS_ASSIGN_OR_RETURN(Value p,
                               EvalExpr(*expr.children[1], frame, agg, ctx));
-      if (v.is_null() || p.is_null()) return Value::Null();
-      bool m = SqlLikeMatch(v.ToString(), p.ToString());
-      return Value::Bool(expr.negated ? !m : m);
+      return EvalLike(v, p, expr.negated);
     }
     case Expr::Kind::kExists: {
-      TAURUS_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
+      TAURUS_ASSIGN_OR_RETURN(SubplanResult * res,
                               RunSubplan(expr, frame, ctx));
-      bool exists = !rows->empty();
+      bool exists = !res->rows.empty();
       return Value::Bool(expr.negated ? !exists : exists);
     }
     case Expr::Kind::kInSubquery: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
                               EvalExpr(*expr.children[0], frame, agg, ctx));
-      TAURUS_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
+      TAURUS_ASSIGN_OR_RETURN(SubplanResult * res,
                               RunSubplan(expr, frame, ctx));
-      if (v.is_null()) return rows->empty() ? Value::Bool(expr.negated)
-                                            : Value::Null();
-      bool saw_null = false;
-      for (const Row& r : *rows) {
-        if (r[0].is_null()) {
-          saw_null = true;
-          continue;
-        }
-        if (Value::Compare(v, r[0]) == 0) return Value::Bool(!expr.negated);
-      }
-      if (saw_null) return Value::Null();
-      return Value::Bool(expr.negated);
+      const bool reusable =
+          !ctx->query->subplans[static_cast<size_t>(expr.subplan_id)]
+               ->correlated;
+      return ProbeInSubquery(v, res, reusable, expr.negated);
     }
     case Expr::Kind::kScalarSubquery: {
-      TAURUS_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
+      TAURUS_ASSIGN_OR_RETURN(SubplanResult * res,
                               RunSubplan(expr, frame, ctx));
-      if (rows->empty()) return Value::Null();
-      if (rows->size() > 1) {
+      const std::vector<Row>& rows = res->rows;
+      if (rows.empty()) return Value::Null();
+      if (rows.size() > 1) {
         return Status::ExecutionError("scalar subquery returned >1 row");
       }
-      return (*rows)[0][0];
+      return rows[0][0];
     }
     case Expr::Kind::kCast: {
       TAURUS_ASSIGN_OR_RETURN(Value v,

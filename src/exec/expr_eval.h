@@ -44,8 +44,24 @@ Result<bool> EvalConjuncts(const std::vector<const Expr*>& conds,
 /// +,-,*,/,% with MySQL numeric semantics (int stays int; /0 and %0 -> NULL).
 Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r);
 
+/// EvalArithmetic for the ops that cannot fail (+, -, *), given as a
+/// functor over int64_t and double; inline so vector kernels pay no call
+/// or Result per row.
+template <typename Op>
+Value EvalTotalArithmetic(const Value& l, const Value& r, Op op) {
+  if (l.is_null() || r.is_null()) return Value::Null();
+  if (l.kind() == Value::Kind::kInt && r.kind() == Value::Kind::kInt) {
+    return Value::Int(op(l.AsInt(), r.AsInt()));
+  }
+  return Value::Double(op(l.AsDouble(), r.AsDouble()));
+}
+
 /// =,<>,<,<=,>,>= with NULL propagation.
 Value EvalComparison(BinaryOp op, const Value& l, const Value& r);
+
+/// [NOT] LIKE with NULL propagation. String operands are matched in place;
+/// other kinds through their ToString() rendering.
+Value EvalLike(const Value& v, const Value& pattern, bool negated);
 
 /// NOT / negation / IS [NOT] NULL.
 Result<Value> EvalUnary(UnaryOp op, const Value& v);

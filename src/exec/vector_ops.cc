@@ -1,6 +1,8 @@
 #include "exec/vector_ops.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #include "common/strings.h"
@@ -38,6 +40,51 @@ struct BatchEval {
 Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
                 Value* out);
 
+/// The value every column of a NULL-extended row reads.
+const Value& NullValue() {
+  static const Value* const null_value = new Value();
+  return *null_value;
+}
+
+/// `l op r` per row for the arithmetic ops that cannot fail.
+template <typename Op>
+void ArithmeticRows(const BatchValues& l, const BatchValues& r, size_t n,
+                    Value* out, Op op) {
+  for (size_t i = 0; i < n; ++i) out[i] = EvalTotalArithmetic(l[i], r[i], op);
+}
+
+/// Like EvalRows, but into views: literals and columns are read in place
+/// (see BatchValues); only computed expressions go through EvalRows.
+Status EvalOperand(const Expr& e, BatchEval* be, const uint32_t* rows,
+                   size_t n, BatchValues* out) {
+  const Batch& b = *be->b;
+  if (e.kind == Expr::Kind::kLiteral) {
+    out->SetConstant(&e.literal);
+    return Status::OK();
+  }
+  if (e.kind != Expr::Kind::kColumnRef) {
+    return EvalRows(e, be, rows, n, out->Materialize(n));
+  }
+  if (e.ref_id < 0 || static_cast<size_t>(e.ref_id) >= b.num_slots()) {
+    return Status::Internal("unbound column ref: " + e.ToString());
+  }
+  const size_t slot = static_cast<size_t>(e.ref_id);
+  const size_t col = static_cast<size_t>(e.column_idx);
+  const Value* null_value = &NullValue();
+  if (b.active[slot] == 0) {  // outer binding: one value for every row
+    const Row* rw = b.base != nullptr ? (*b.base)[slot] : nullptr;
+    out->SetConstant(rw != nullptr ? &(*rw)[col] : null_value);
+    return Status::OK();
+  }
+  const std::vector<const Row*>& cp = b.cols[slot];
+  const Value** p = out->Gather(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Row* rw = cp[rows[i]];
+    p[i] = rw != nullptr ? &(*rw)[col] : null_value;
+  }
+  return Status::OK();
+}
+
 /// Scalar-interpreter fallback: reconstitutes each row into the scratch
 /// frame and calls EvalExpr. Used for subquery expressions (and any kind
 /// without a vector implementation); aggregates correctly error exactly as
@@ -54,8 +101,8 @@ Status EvalRowsViaFrame(const Expr& e, BatchEval* be, const uint32_t* rows,
 
 Status EvalAndRows(const Expr& e, BatchEval* be, const uint32_t* rows,
                    size_t n, Value* out) {
-  std::vector<Value> l(n);
-  TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, l.data()));
+  BatchValues l;
+  TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &l));
   // The right side runs only where the left is not false — the rows the
   // scalar interpreter's short-circuit would reach.
   std::vector<uint32_t> sub;
@@ -63,10 +110,10 @@ Status EvalAndRows(const Expr& e, BatchEval* be, const uint32_t* rows,
   for (size_t i = 0; i < n; ++i) {
     if (l[i].is_null() || l[i].IsTrue()) sub.push_back(rows[i]);
   }
-  std::vector<Value> r(sub.size());
+  BatchValues r;
   if (!sub.empty()) {
     TAURUS_RETURN_IF_ERROR(
-        EvalRows(*e.children[1], be, sub.data(), sub.size(), r.data()));
+        EvalOperand(*e.children[1], be, sub.data(), sub.size(), &r));
   }
   size_t k = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -88,17 +135,17 @@ Status EvalAndRows(const Expr& e, BatchEval* be, const uint32_t* rows,
 
 Status EvalOrRows(const Expr& e, BatchEval* be, const uint32_t* rows,
                   size_t n, Value* out) {
-  std::vector<Value> l(n);
-  TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, l.data()));
+  BatchValues l;
+  TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &l));
   std::vector<uint32_t> sub;
   sub.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (l[i].is_null() || !l[i].IsTrue()) sub.push_back(rows[i]);
   }
-  std::vector<Value> r(sub.size());
+  BatchValues r;
   if (!sub.empty()) {
     TAURUS_RETURN_IF_ERROR(
-        EvalRows(*e.children[1], be, sub.data(), sub.size(), r.data()));
+        EvalOperand(*e.children[1], be, sub.data(), sub.size(), &r));
   }
   size_t k = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -125,13 +172,13 @@ Status EvalCaseRows(const Expr& e, BatchEval* be, const uint32_t* rows,
   std::vector<uint32_t> pend(n);
   for (size_t i = 0; i < n; ++i) pend[i] = static_cast<uint32_t>(i);
   std::vector<uint32_t> sub, matched, still;
-  std::vector<Value> cond, branch;
+  BatchValues cond;
+  std::vector<Value> branch;
   for (size_t p = 0; p + 1 < nch && !pend.empty(); p += 2) {
     sub.clear();
     for (uint32_t pos : pend) sub.push_back(rows[pos]);
-    cond.assign(pend.size(), Value());
     TAURUS_RETURN_IF_ERROR(
-        EvalRows(*e.children[p], be, sub.data(), sub.size(), cond.data()));
+        EvalOperand(*e.children[p], be, sub.data(), sub.size(), &cond));
     matched.clear();
     still.clear();
     for (size_t k = 0; k < pend.size(); ++k) {
@@ -169,53 +216,53 @@ Status EvalCaseRows(const Expr& e, BatchEval* be, const uint32_t* rows,
   return Status::OK();
 }
 
+/// Column-major IN list: each item is evaluated once over the rows still
+/// looking for a match — the rows the scalar interpreter would compare it
+/// against. A literal item is read in place; another constant item is
+/// evaluated once, on the first row that reaches it.
 Status EvalInListRows(const Expr& e, BatchEval* be, const uint32_t* rows,
                       size_t n, Value* out) {
-  std::vector<Value> v(n);
-  TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
-  const size_t nitems = e.children.size() - 1;
-  // Constant list items evaluate once; non-constant ones per row, stopping
-  // at the first match like the scalar interpreter.
-  std::vector<uint8_t> is_const(nitems), cached(nitems, 0);
-  std::vector<Value> cache(nitems);
-  for (size_t j = 0; j < nitems; ++j) {
-    is_const[j] = IsConstExpr(*e.children[j + 1]) ? 1 : 0;
-  }
+  BatchValues v;
+  TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
+  std::vector<uint32_t> pend, still, sub;  // positions into rows/out
   for (size_t i = 0; i < n; ++i) {
     if (v[i].is_null()) {
       out[i] = Value::Null();
-      continue;
-    }
-    bool saw_null = false;
-    bool found = false;
-    for (size_t j = 0; j < nitems; ++j) {
-      const Expr& item = *e.children[j + 1];
-      Value tmp;
-      const Value* iv;
-      if (is_const[j] != 0) {
-        if (cached[j] == 0) {
-          TAURUS_RETURN_IF_ERROR(EvalRows(item, be, &rows[i], 1, &cache[j]));
-          cached[j] = 1;
-        }
-        iv = &cache[j];
-      } else {
-        TAURUS_RETURN_IF_ERROR(EvalRows(item, be, &rows[i], 1, &tmp));
-        iv = &tmp;
-      }
-      if (iv->is_null()) {
-        saw_null = true;
-        continue;
-      }
-      if (Value::Compare(v[i], *iv) == 0) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      out[i] = Value::Bool(!e.negated);
     } else {
-      out[i] = saw_null ? Value::Null() : Value::Bool(e.negated);
+      pend.push_back(static_cast<uint32_t>(i));
     }
+  }
+  std::vector<uint8_t> saw_null(n, 0);
+  BatchValues item;
+  Value folded;
+  for (size_t j = 1; j < e.children.size() && !pend.empty(); ++j) {
+    const Expr& ie = *e.children[j];
+    sub.clear();
+    for (uint32_t pos : pend) sub.push_back(rows[pos]);
+    if (ie.kind != Expr::Kind::kLiteral && IsConstExpr(ie)) {
+      TAURUS_RETURN_IF_ERROR(EvalRows(ie, be, sub.data(), 1, &folded));
+      item.SetConstant(&folded);
+    } else {
+      TAURUS_RETURN_IF_ERROR(
+          EvalOperand(ie, be, sub.data(), sub.size(), &item));
+    }
+    still.clear();
+    for (size_t k = 0; k < pend.size(); ++k) {
+      const uint32_t pos = pend[k];
+      const Value& iv = item[k];
+      if (iv.is_null()) {
+        saw_null[pos] = 1;
+        still.push_back(pos);
+      } else if (v[pos] == iv) {
+        out[pos] = Value::Bool(!e.negated);
+      } else {
+        still.push_back(pos);
+      }
+    }
+    pend.swap(still);
+  }
+  for (uint32_t pos : pend) {
+    out[pos] = saw_null[pos] != 0 ? Value::Null() : Value::Bool(e.negated);
   }
   return Status::OK();
 }
@@ -250,12 +297,25 @@ Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
     case Expr::Kind::kBinary: {
       if (e.bop == BinaryOp::kAnd) return EvalAndRows(e, be, rows, n, out);
       if (e.bop == BinaryOp::kOr) return EvalOrRows(e, be, rows, n, out);
-      std::vector<Value> l(n), r(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, l.data()));
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[1], be, rows, n, r.data()));
+      BatchValues l, r;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &l));
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[1], be, rows, n, &r));
       if (IsComparisonOp(e.bop)) {
         for (size_t i = 0; i < n; ++i) out[i] = EvalComparison(e.bop, l[i], r[i]);
         return Status::OK();
+      }
+      switch (e.bop) {
+        case BinaryOp::kAdd:
+          ArithmeticRows(l, r, n, out, std::plus<>());
+          return Status::OK();
+        case BinaryOp::kSub:
+          ArithmeticRows(l, r, n, out, std::minus<>());
+          return Status::OK();
+        case BinaryOp::kMul:
+          ArithmeticRows(l, r, n, out, std::multiplies<>());
+          return Status::OK();
+        default:
+          break;
       }
       for (size_t i = 0; i < n; ++i) {
         TAURUS_ASSIGN_OR_RETURN(out[i], EvalArithmetic(e.bop, l[i], r[i]));
@@ -263,8 +323,8 @@ Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
       return Status::OK();
     }
     case Expr::Kind::kUnary: {
-      std::vector<Value> v(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
+      BatchValues v;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
       for (size_t i = 0; i < n; ++i) {
         TAURUS_ASSIGN_OR_RETURN(out[i], EvalUnary(e.uop, v[i]));
       }
@@ -291,10 +351,10 @@ Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
     case Expr::Kind::kInList:
       return EvalInListRows(e, be, rows, n, out);
     case Expr::Kind::kBetween: {
-      std::vector<Value> v(n), lo(n), hi(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[1], be, rows, n, lo.data()));
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[2], be, rows, n, hi.data()));
+      BatchValues v, lo, hi;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[1], be, rows, n, &lo));
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[2], be, rows, n, &hi));
       for (size_t i = 0; i < n; ++i) {
         if (v[i].is_null() || lo[i].is_null() || hi[i].is_null()) {
           out[i] = Value::Null();
@@ -307,30 +367,23 @@ Status EvalRows(const Expr& e, BatchEval* be, const uint32_t* rows, size_t n,
       return Status::OK();
     }
     case Expr::Kind::kLike: {
-      std::vector<Value> v(n), p(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[1], be, rows, n, p.data()));
-      for (size_t i = 0; i < n; ++i) {
-        if (v[i].is_null() || p[i].is_null()) {
-          out[i] = Value::Null();
-          continue;
-        }
-        bool m = SqlLikeMatch(v[i].ToString(), p[i].ToString());
-        out[i] = Value::Bool(e.negated ? !m : m);
-      }
+      BatchValues v, p;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[1], be, rows, n, &p));
+      for (size_t i = 0; i < n; ++i) out[i] = EvalLike(v[i], p[i], e.negated);
       return Status::OK();
     }
     case Expr::Kind::kCast: {
-      std::vector<Value> v(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
+      BatchValues v;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
       for (size_t i = 0; i < n; ++i) {
         TAURUS_ASSIGN_OR_RETURN(out[i], EvalCast(v[i], e.cast_type));
       }
       return Status::OK();
     }
     case Expr::Kind::kIntervalAdd: {
-      std::vector<Value> v(n);
-      TAURUS_RETURN_IF_ERROR(EvalRows(*e.children[0], be, rows, n, v.data()));
+      BatchValues v;
+      TAURUS_RETURN_IF_ERROR(EvalOperand(*e.children[0], be, rows, n, &v));
       for (size_t i = 0; i < n; ++i) out[i] = EvalIntervalAdd(e, v[i]);
       return Status::OK();
     }
@@ -357,7 +410,8 @@ bool CmpPasses(BinaryOp op, int c) {
 }
 
 /// Copy-free kernel for `col <cmp> literal` (either operand order),
-/// `col <cmp> col` over two active slots, and `col BETWEEN lit AND lit`:
+/// `col <cmp> col` over two active slots, `col [NOT] IN (literals)` and
+/// `col BETWEEN lit AND lit`:
 /// compares storage rows in place, keeping rows whose comparison is
 /// non-NULL true (a NULL value or NULL-extended row never passes). Returns
 /// false when the shape does not match (generic path handles it).
@@ -415,6 +469,44 @@ bool TryFastColCmpFilter(const Expr& e, Batch* b) {
     b->sel.resize(w);
     return true;
   }
+  if (e.kind == Expr::Kind::kInList && col_ok(*e.children[0]) &&
+      std::all_of(e.children.begin() + 1, e.children.end(),
+                  [](const std::unique_ptr<Expr>& c) {
+                    return c->kind == Expr::Kind::kLiteral;
+                  })) {
+    // A row passes IN when its value equals an item, and NOT IN when it
+    // equals none and no item is NULL (a NULL item makes a miss NULL).
+    std::vector<const Value*> items;
+    for (size_t j = 1; j < e.children.size(); ++j) {
+      const Value& lit = e.children[j]->literal;
+      if (!lit.is_null()) {
+        items.push_back(&lit);
+      } else if (e.negated) {
+        b->sel.clear();
+        return true;
+      }
+    }
+    const Expr& cr = *e.children[0];
+    const std::vector<const Row*>& cp = b->cols[static_cast<size_t>(cr.ref_id)];
+    const size_t col = static_cast<size_t>(cr.column_idx);
+    size_t w = 0;
+    for (uint32_t r : b->sel) {
+      const Row* rw = cp[r];
+      if (rw == nullptr) continue;
+      const Value& v = (*rw)[col];
+      if (v.is_null()) continue;
+      bool hit = false;
+      for (const Value* item : items) {
+        if (v == *item) {
+          hit = true;
+          break;
+        }
+      }
+      if (hit != e.negated) b->sel[w++] = r;
+    }
+    b->sel.resize(w);
+    return true;
+  }
   if (e.kind == Expr::Kind::kBetween && !e.negated && col_ok(*e.children[0]) &&
       e.children[1]->kind == Expr::Kind::kLiteral &&
       e.children[2]->kind == Expr::Kind::kLiteral) {
@@ -445,26 +537,20 @@ bool TryFastColCmpFilter(const Expr& e, Batch* b) {
 
 }  // namespace
 
-Status EvalExprBatch(const Expr& expr, const Batch& batch, ExecContext* ctx,
-                     std::vector<Value>* out) {
-  const size_t n = batch.sel.size();
-  out->assign(n, Value());
-  if (n == 0) return Status::OK();
+Status EvalBatchValues(const Expr& expr, const Batch& batch, ExecContext* ctx,
+                       BatchValues* out) {
   BatchEval be(&batch, ctx);
-  return EvalRows(expr, &be, batch.sel.data(), n, out->data());
+  return EvalOperand(expr, &be, batch.sel.data(), batch.sel.size(), out);
 }
 
 Status FilterBatch(const std::vector<const Expr*>& conds, Batch* batch,
                    ExecContext* ctx) {
-  std::vector<Value> v;
+  BatchValues v;
   for (const Expr* cond : conds) {
     if (batch->sel.empty()) return Status::OK();
     if (TryFastColCmpFilter(*cond, batch)) continue;
     const size_t n = batch->sel.size();
-    v.assign(n, Value());
-    BatchEval be(batch, ctx);
-    TAURUS_RETURN_IF_ERROR(
-        EvalRows(*cond, &be, batch->sel.data(), n, v.data()));
+    TAURUS_RETURN_IF_ERROR(EvalBatchValues(*cond, *batch, ctx, &v));
     size_t w = 0;
     for (size_t i = 0; i < n; ++i) {
       if (!v[i].is_null() && v[i].IsTrue()) batch->sel[w++] = batch->sel[i];

@@ -23,19 +23,13 @@ int CompareDoubles(double a, double b) {
 
 }  // namespace
 
-int Value::Compare(const Value& a, const Value& b) {
-  if (a.kind_ == Kind::kNull || b.kind_ == Kind::kNull) {
-    if (a.kind_ == b.kind_) return 0;
+int Value::CompareSlow(const Value& a, const Value& b) {
+  if (a.kind_ == Kind::kNull || b.kind_ == Kind::kNull) {  // not both
     return a.kind_ == Kind::kNull ? -1 : 1;
   }
   if (a.kind_ == Kind::kString && b.kind_ == Kind::kString) {
     int c = a.AsString().compare(b.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  if (a.kind_ == Kind::kInt && b.kind_ == Kind::kInt) {
-    if (a.i_ < b.i_) return -1;
-    if (a.i_ > b.i_) return 1;
-    return 0;
   }
   // Mixed numeric (or number-vs-string coercion) falls back to double.
   double da =

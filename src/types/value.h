@@ -136,13 +136,33 @@ class Value {
   /// NULL sorts before everything (MySQL ORDER BY semantics); numeric kinds
   /// compare numerically regardless of int/double representation; strings
   /// compare bytewise. Cross-kind number-vs-string compares the string as a
-  /// number (best-effort, as MySQL coerces).
-  static int Compare(const Value& a, const Value& b);
+  /// number (best-effort, as MySQL coerces). Same-kind int, double and NULL
+  /// pairs are decided inline; the rest go through CompareSlow.
+  static int Compare(const Value& a, const Value& b) {
+    if (a.kind_ == b.kind_) {
+      switch (a.kind_) {
+        case Kind::kInt:
+          return (a.i_ > b.i_) - (a.i_ < b.i_);
+        case Kind::kDouble:  // NaN compares equal to everything, as before
+          return (a.d_ > b.d_) - (a.d_ < b.d_);
+        case Kind::kNull:
+          return 0;
+        case Kind::kString:
+          break;
+      }
+    }
+    return CompareSlow(a, b);
+  }
 
   /// Equality consistent with Compare()==0. Note: this is *ordering*
   /// equality (NULL == NULL), used for grouping and index keys, not SQL
   /// three-valued equality — the expression evaluator handles NULLs itself.
+  /// Two strings are equal exactly when their bytes are, so that case is
+  /// decided inline too.
   bool operator==(const Value& other) const {
+    if (kind_ == Kind::kString && other.kind_ == Kind::kString) {
+      return AsString() == other.AsString();
+    }
     return Compare(*this, other) == 0;
   }
   bool operator<(const Value& other) const {
@@ -157,6 +177,9 @@ class Value {
   std::string ToString() const;
 
  private:
+  /// Compare() for strings, NULL against non-NULL, and mixed kinds.
+  static int CompareSlow(const Value& a, const Value& b);
+
   /// Strings up to this many bytes are stored in `chars_`.
   static constexpr size_t kInlineChars = 24;
   /// `str_len_` of a string stored in `heap_`.

@@ -3,8 +3,9 @@
 // paths, under serial and morsel-parallel execution, across a batch-size
 // sweep that includes the degenerate size 1; selection-vector edge cases
 // (all-pass / all-fail / alternating NULLs, column-vs-column compares);
-// vectorized index nested-loop join edge cases; and EXPLAIN ANALYZE
-// actuals staying identical when rows move in batches.
+// operand-view leaves (outer bindings, NULL-extended rows, coercions, NULL
+// literals); vectorized index nested-loop join edge cases; and EXPLAIN
+// ANALYZE actuals staying identical when rows move in batches.
 
 #include <gtest/gtest.h>
 
@@ -282,20 +283,34 @@ class SelectionEdgeTest : public ::testing::Test {
     ASSERT_TRUE(db_->AnalyzeAll().ok());
   }
 
-  void CheckBoth(const std::string& sql) {
+  void CheckBoth(const std::string& sql,
+                 OptimizerPath path = OptimizerPath::kMySql) {
     SCOPED_TRACE(sql);
     Configure(db_.get(), 1, /*batch=*/false, 1024);
-    auto volcano = db_->Query(sql, OptimizerPath::kMySql);
+    auto volcano = db_->Query(sql, path);
     ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
     for (int64_t bs : {int64_t{1}, int64_t{3}, int64_t{4096}}) {
       SCOPED_TRACE("batch_size=" + std::to_string(bs));
       Configure(db_.get(), 1, /*batch=*/true, bs);
-      auto batch = db_->Query(sql, OptimizerPath::kMySql);
+      auto batch = db_->Query(sql, path);
       ASSERT_TRUE(batch.ok()) << batch.status().ToString();
       EXPECT_EQ(RowsText(batch->rows), RowsText(volcano->rows));
       EXPECT_EQ(batch->rows_scanned, volcano->rows_scanned);
+      last_batch_pipelines_ = batch->batch_pipelines;
     }
   }
+
+  /// CheckBoth on both optimizer paths, requiring that the batch engine
+  /// ran on each.
+  void CheckBatched(const std::string& sql) {
+    for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+      SCOPED_TRACE(path == OptimizerPath::kOrca ? "orca" : "mysql");
+      CheckBoth(sql, path);
+      EXPECT_GT(last_batch_pipelines_, 0);
+    }
+  }
+
+  int last_batch_pipelines_ = 0;
 
   std::unique_ptr<Database> db_;
 };
@@ -378,6 +393,74 @@ TEST_F(SelectionEdgeTest, ColumnVsColumnOverNullExtendedRows) {
     ASSERT_TRUE(FilterBatch({cmp.get()}, &b, &ctx).ok());
     EXPECT_EQ(b.sel, want) << "op " << static_cast<int>(op);
   }
+}
+
+// Operand views (BatchValues): each leaf shape a kernel reads in place, in
+// filters (both the in-place filter kernels and, under computed parents,
+// the generic ones), projections, group keys and aggregate arguments.
+
+TEST_F(SelectionEdgeTest, OperandViewOuterBindingColumn) {
+  // Inside the subqueries, a.v, a.id and a.s are bound by the outer block:
+  // one pointer for the whole inner batch, NULL on the outer's even rows.
+  CheckBatched(
+      "SELECT a.id, (SELECT COUNT(*) FROM t b WHERE b.v + 1 > a.v) FROM t a "
+      "WHERE a.id < 40");
+  CheckBatched(
+      "SELECT a.id, (SELECT SUM(b.v * a.id) FROM t b WHERE b.s = a.s) "
+      "FROM t a WHERE a.id < 40");
+  CheckBatched(
+      "SELECT a.id, (SELECT COUNT(*) FROM t b WHERE b.id BETWEEN a.v AND "
+      "a.v + 20 AND b.s IN (a.s, 's1')) FROM t a WHERE a.id < 40");
+}
+
+TEST_F(SelectionEdgeTest, OperandViewNullExtendedRows) {
+  // The Orca path runs these left joins as batched hash joins (the MySQL
+  // path's left nested-loop joins run row by row). v <= 9, so for a.id > 9
+  // every b column reads the shared NULL of a NULL-extended row, as keys,
+  // aggregate arguments and operands; small a.id values match and share
+  // batches with them.
+  const std::string queries[] = {
+      "SELECT a.id, b.id + 1, b.s, b.v * 2 > 5 FROM t a LEFT JOIN t b "
+      "ON b.v = a.id",
+      "SELECT b.s, COUNT(*), COUNT(b.v), SUM(b.v * 2), MIN(b.s) FROM t a "
+      "LEFT JOIN t b ON b.v = a.id GROUP BY b.s",
+      "SELECT b.v IS NULL, b.s IN ('s1', 's3'), COUNT(*), SUM(a.id - b.id) "
+      "FROM t a LEFT JOIN t b ON b.id = a.v "
+      "GROUP BY b.v IS NULL, b.s IN ('s1', 's3')",
+  };
+  for (const std::string& sql : queries) {
+    CheckBoth(sql, OptimizerPath::kOrca);
+    EXPECT_GT(last_batch_pipelines_, 0) << sql;
+  }
+}
+
+TEST_F(SelectionEdgeTest, OperandViewIntColumnVsDoubleLiteral) {
+  CheckBatched("SELECT COUNT(*) FROM t WHERE v > 2.5");
+  CheckBatched("SELECT id FROM t WHERE v IN (3.0, 5, 7.5)");
+  CheckBatched("SELECT COUNT(*) FROM t WHERE v + 0 > 2.5 OR v = 3.0");
+  CheckBatched("SELECT id, v * 1.5, v < 4.5, v BETWEEN 1.5 AND 6.0 FROM t");
+  CheckBatched("SELECT v = 5.0, COUNT(*), SUM(v - 0.5) FROM t GROUP BY v = 5.0");
+}
+
+TEST_F(SelectionEdgeTest, OperandViewStringColumnVsNumericLiteral) {
+  // 's1' is not a number: Value::Compare coerces it to 0.
+  CheckBatched("SELECT COUNT(*) FROM t WHERE s = 0");
+  CheckBatched("SELECT COUNT(*) FROM t WHERE s < 1 AND id > 10");
+  CheckBatched("SELECT id, s = 0, s > 0.5, s IN (0, 's2') FROM t");
+  CheckBatched("SELECT id FROM t WHERE s IN (1, 's2') OR s NOT IN (0, 's1')");
+  CheckBatched("SELECT id FROM t WHERE s NOT IN (1, 's2')");
+  CheckBatched("SELECT s = 0 OR v > 3, COUNT(*) FROM t GROUP BY s = 0 OR v > 3");
+}
+
+TEST_F(SelectionEdgeTest, OperandViewNullLiterals) {
+  CheckBatched("SELECT id FROM t WHERE v IN (1, NULL, 5)");
+  CheckBatched("SELECT COUNT(*) FROM t WHERE v NOT IN (1, NULL)");
+  CheckBatched("SELECT id, v IN (3, NULL), v NOT IN (NULL, 7) FROM t");
+  CheckBatched("SELECT COUNT(*) FROM t WHERE v BETWEEN NULL AND 5");
+  CheckBatched("SELECT COUNT(*) FROM t WHERE v NOT BETWEEN 2 AND NULL");
+  CheckBatched(
+      "SELECT id, v BETWEEN NULL AND 5, v NOT BETWEEN 2 AND NULL, "
+      "v BETWEEN 2 AND 6 FROM t");
 }
 
 TEST_F(SelectionEdgeTest, LastBatchPartialFill) {

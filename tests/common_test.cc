@@ -101,6 +101,33 @@ TEST(LikeTest, TrailingPercentCollapse) {
   EXPECT_TRUE(SqlLikeMatch("abc", "%%abc"));
 }
 
+// The one-pass matcher for '%'-only patterns against the backtracking one,
+// on random values and patterns over {a, b, %}: short alphabets make
+// overlapping and repeated segments, and runs of '%', common.
+TEST(LikeTest, OnePassMatchesRecursiveMatcher) {
+  Rng rng(17);
+  auto random_string = [&](const char* alphabet, int alpha_size, int max_len) {
+    std::string s;
+    const int64_t len = rng.Uniform(0, max_len);
+    for (int64_t i = 0; i < len; ++i) {
+      s += alphabet[rng.Uniform(0, alpha_size - 1)];
+    }
+    return s;
+  };
+  int matches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string value = random_string("ab", 2, 8);
+    const std::string pattern = random_string("ab%%", 4, 7);
+    const bool want = SqlLikeMatchRecursive(value, pattern);
+    EXPECT_EQ(SqlLikeMatch(value, pattern), want)
+        << "'" << value << "' LIKE '" << pattern << "'";
+    matches += want ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(matches, 2000);
+  EXPECT_LT(matches, 18000);
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

@@ -426,6 +426,67 @@ TEST_F(EngineTest, InnerJoinOnStaysInsideLeftJoinNest) {
   }
 }
 
+TEST_F(EngineTest, InSubqueryNullSemanticsMatchSqlite) {
+  // Non-correlated IN probes binary-search the sorted subquery result when
+  // its values share one kind, and scan it otherwise (case 9: double
+  // values, integer probes). A NULL in the result makes a miss NULL; a
+  // NULL probe is NULL over a non-empty result and FALSE over an empty
+  // one. The expected rows are the sqlite3 CLI's answer on the same data.
+  ASSERT_TRUE(db_.ExecuteSql("CREATE TABLE pa (id INT NOT NULL PRIMARY KEY, "
+                             "x INT, s VARCHAR(8))")
+                  .ok());
+  ASSERT_TRUE(db_.ExecuteSql("CREATE TABLE pb (id INT NOT NULL PRIMARY KEY, "
+                             "y INT, t VARCHAR(8))")
+                  .ok());
+  ASSERT_TRUE(db_.BulkLoad("pa", {{Value::Int(1), Value::Int(1), Value::Str("p")},
+                                  {Value::Int(2), Value::Int(2), Value::Str("q")},
+                                  {Value::Int(3), Value::Null(), Value::Null()},
+                                  {Value::Int(4), Value::Int(4), Value::Str("r")},
+                                  {Value::Int(5), Value::Int(7), Value::Str("s")}})
+                  .ok());
+  ASSERT_TRUE(db_.BulkLoad("pb", {{Value::Int(1), Value::Int(1), Value::Str("p")},
+                                  {Value::Int(2), Value::Null(), Value::Str("q")},
+                                  {Value::Int(3), Value::Int(4), Value::Null()},
+                                  {Value::Int(4), Value::Int(9), Value::Str("z")}})
+                  .ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::pair<std::string, std::string> cases[] = {
+      {"SELECT id, x IN (SELECT y FROM pb) FROM pa",
+       "(1, 1)\n(2, NULL)\n(3, NULL)\n(4, 1)\n(5, NULL)\n"},
+      {"SELECT id, x NOT IN (SELECT y FROM pb) FROM pa",
+       "(1, 0)\n(2, NULL)\n(3, NULL)\n(4, 0)\n(5, NULL)\n"},
+      {"SELECT id, x IN (SELECT y FROM pb WHERE y IS NOT NULL) FROM pa",
+       "(1, 1)\n(2, 0)\n(3, NULL)\n(4, 1)\n(5, 0)\n"},
+      {"SELECT id, x NOT IN (SELECT y FROM pb WHERE y IS NOT NULL) FROM pa",
+       "(1, 0)\n(2, 1)\n(3, NULL)\n(4, 0)\n(5, 1)\n"},
+      {"SELECT id, x IN (SELECT y FROM pb WHERE y > 100), "
+       "x NOT IN (SELECT y FROM pb WHERE y > 100) FROM pa",
+       "(1, 0, 1)\n(2, 0, 1)\n(3, 0, 1)\n(4, 0, 1)\n(5, 0, 1)\n"},
+      {"SELECT id, s IN (SELECT t FROM pb), "
+       "s NOT IN (SELECT t FROM pb WHERE t IS NOT NULL) FROM pa",
+       "(1, 1, 0)\n(2, 1, 0)\n(3, NULL, NULL)\n(4, NULL, 1)\n(5, NULL, 1)\n"},
+      {"SELECT id FROM pa WHERE x IN (SELECT y FROM pb)", "(1)\n(4)\n"},
+      {"SELECT id FROM pa WHERE x NOT IN (SELECT y FROM pb WHERE y IS NOT "
+       "NULL)",
+       "(2)\n(5)\n"},
+      {"SELECT id, x IN (SELECT y * 1.0 FROM pb) FROM pa",
+       "(1, 1)\n(2, NULL)\n(3, NULL)\n(4, 1)\n(5, NULL)\n"},
+  };
+  for (const auto& [sql, want] : cases) {
+    for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+      for (bool batch : {false, true}) {
+        SCOPED_TRACE(sql + (path == OptimizerPath::kOrca ? " orca" : " mysql") +
+                     " batch=" + std::to_string(batch));
+        db_.exec_config().enable_batch = batch;
+        auto r = db_.Query(sql, path);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        SortRows(&r->rows);
+        EXPECT_EQ(RowsToText(r->rows), want);
+      }
+    }
+  }
+}
+
 TEST_F(EngineTest, InstrumentationCountsSomething) {
   auto r = db_.Query(
       "SELECT c_name, o_id FROM customer JOIN orders ON o_cust = c_id "
