@@ -12,13 +12,12 @@ namespace {
 struct HeldLock {
   LockRank rank = LockRank::kUnranked;
   const char* name = "";
-  int stripe = -1;
   const void* id = nullptr;
 };
 
 // Per-thread stack of held instrumented locks, in acquisition order. The
 // stacks are small (the deepest legitimate chain is pool_gate ->
-// thread_pool plus the striped shard sweep), so linear scans are fine.
+// thread_pool), so linear scans are fine.
 std::vector<HeldLock>& HeldStack() {
   thread_local std::vector<HeldLock> stack;
   return stack;
@@ -29,23 +28,12 @@ std::atomic<std::int64_t> g_checks{0};
 std::atomic<std::int64_t> g_violations{0};
 std::atomic<LockRankRegistry::Handler> g_handler{nullptr};
 
-std::string Describe(const char* name, int stripe) {
-  std::string out = name;
-  if (stripe >= 0) {
-    out += "[";
-    out += std::to_string(stripe);
-    out += "]";
-  }
-  return out;
-}
-
 void Report(const char* rule, const char* rule_text, LockRank acquiring_rank,
-            const char* acquiring_name, int acquiring_stripe,
-            const HeldLock& held) {
+            const char* acquiring_name, const HeldLock& held) {
   LockRankViolation v;
   v.rule = rule;
-  v.acquiring = Describe(acquiring_name, acquiring_stripe);
-  v.holding = Describe(held.name, held.stripe);
+  v.acquiring = acquiring_name;
+  v.holding = held.name;
   v.acquiring_rank = RankValue(acquiring_rank);
   v.holding_rank = RankValue(held.rank);
   v.message = "lock-rank violation [";
@@ -79,7 +67,7 @@ bool LockRankRegistry::enabled() {
 }
 
 void LockRankRegistry::CheckAcquire(LockRank rank, const char* name,
-                                    int stripe, const void* id) {
+                                    const void* id) {
   if (!enabled()) return;
   g_checks.fetch_add(1, std::memory_order_relaxed);
   std::vector<HeldLock>& stack = HeldStack();
@@ -90,19 +78,18 @@ void LockRankRegistry::CheckAcquire(LockRank rank, const char* name,
   for (const HeldLock& held : stack) {
     if (held.id == id) {
       Report("LR2", "recursive acquisition of a non-recursive lock", rank,
-             name, stripe, held);
+             name, held);
       return;
     }
   }
   if (rank == LockRank::kUnranked) return;
 
-  // Compare against the highest-ranked held lock (ties broken by the
-  // highest stripe), which is the binding constraint for every rule.
+  // Compare against the highest-ranked held lock, which is the binding
+  // constraint for every rule.
   const HeldLock* top = nullptr;
   for (const HeldLock& held : stack) {
     if (held.rank == LockRank::kUnranked) continue;
-    if (top == nullptr || RankValue(held.rank) > RankValue(top->rank) ||
-        (held.rank == top->rank && held.stripe > top->stripe)) {
+    if (top == nullptr || RankValue(held.rank) > RankValue(top->rank)) {
       top = &held;
     }
   }
@@ -110,39 +97,31 @@ void LockRankRegistry::CheckAcquire(LockRank rank, const char* name,
 
   if (RankValue(top->rank) >= kLeafRankFloor) {
     Report("LR3", "no lock may be acquired while holding a leaf-band lock",
-           rank, name, stripe, *top);
+           rank, name, *top);
     return;
   }
   if (RankValue(rank) < RankValue(top->rank)) {
     Report("LR1", "locks must be acquired in ascending rank order", rank,
-           name, stripe, *top);
+           name, *top);
     return;
   }
   if (rank == top->rank) {
-    // Same rank is legal only for striped locks taken in ascending stripe
-    // order (the plan cache's all-shard sweep).
-    const bool striped_ascending =
-        stripe >= 0 && top->stripe >= 0 && stripe > top->stripe;
-    if (!striped_ascending) {
-      Report("LR2",
-             "same-rank acquisition outside the striped ascending-index "
-             "exception",
-             rank, name, stripe, *top);
-    }
+    Report("LR2", "no two locks of the same rank may be held at once", rank,
+           name, *top);
   }
 }
 
 void LockRankRegistry::NoteAcquired(LockRank rank, const char* name,
-                                    int stripe, const void* id) {
+                                    const void* id) {
   if (!enabled()) return;
-  HeldStack().push_back(HeldLock{rank, name, stripe, id});
+  HeldStack().push_back(HeldLock{rank, name, id});
 }
 
 void LockRankRegistry::NoteReleased(const void* id) {
   std::vector<HeldLock>& stack = HeldStack();
-  // Scan from the top so out-of-order releases (std::unique_lock juggling
-  // in the all-shard sweep) unwind correctly. A miss is fine: the lock was
-  // acquired while the registry was disabled.
+  // Scan from the top so out-of-order releases (std::unique_lock juggling)
+  // unwind correctly. A miss is fine: the lock was acquired while the
+  // registry was disabled.
   for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
     if (it->id == id) {
       stack.erase(std::next(it).base());

@@ -7,8 +7,8 @@
 namespace taurus {
 
 // Runtime lock-order analyzer for the orderings Clang Thread Safety
-// Analysis cannot express (DESIGN.md section 14): the plan cache's
-// ascending-index striped shard locks and any cross-class nesting. Every
+// Analysis cannot express (DESIGN.md section 14): nesting across classes,
+// which the per-class annotations never see together. Every
 // Mutex/SharedMutex (common/mutex.h) registers a rank from the DESIGN.md
 // section 12 rank table; acquisitions push onto a thread-local held-lock
 // stack and a rank inversion fails fast with both lock names and the rule
@@ -37,7 +37,7 @@ enum class LockRank : int {
   kUnranked = 0,
 
   kServerAdmission = 10,   // AdmissionController::mu_      "server.admission"
-  kPlanCacheShard = 20,    // PlanCache::Shard::mu (striped) "engine.plan_cache.shard"
+  kPlanCache = 20,         // PlanCache::mu_                 "engine.plan_cache"
   kQuarantine = 30,        // QuarantineTable::mu_           "engine.quarantine"
   kFeedbackStore = 40,     // FeedbackStore::mu_             "feedback.store"
   kMdpRelationCache = 50,  // MetadataProvider::cache_mu_    "mdp.relation_cache"
@@ -60,12 +60,12 @@ constexpr int RankValue(LockRank rank) { return static_cast<int>(rank); }
 // A detected violation of the DESIGN.md section 12 ordering rules.
 //   LR1: acquiring a lock whose rank is below a held lock's rank.
 //   LR2: recursive acquisition, or acquiring a lock of the same rank as a
-//        held lock outside the striped ascending-index exception.
+//        held lock.
 //   LR3: acquiring any lock while holding a leaf-band lock (rank >= 100).
 struct LockRankViolation {
   const char* rule = "";       // "LR1" | "LR2" | "LR3"
-  std::string acquiring;       // name[stripe] of the lock being acquired
-  std::string holding;         // name[stripe] of the held lock that conflicts
+  std::string acquiring;       // name of the lock being acquired
+  std::string holding;         // name of the held lock that conflicts
   int acquiring_rank = 0;
   int holding_rank = 0;
   std::string message;         // full diagnostic, names + rule + DESIGN.md ref
@@ -79,13 +79,11 @@ class LockRankRegistry {
   static bool enabled();
 
   // Called by the Mutex/SharedMutex wrappers. `id` is the lock's address
-  // (identity for recursion/release matching); `stripe` is the shard index
-  // for striped ranks, -1 otherwise. CheckAcquire runs before blocking so
-  // an inversion is reported even when the acquisition would deadlock.
-  static void CheckAcquire(LockRank rank, const char* name, int stripe,
-                           const void* id);
-  static void NoteAcquired(LockRank rank, const char* name, int stripe,
-                           const void* id);
+  // (identity for recursion/release matching). CheckAcquire runs before
+  // blocking so an inversion is reported even when the acquisition would
+  // deadlock.
+  static void CheckAcquire(LockRank rank, const char* name, const void* id);
+  static void NoteAcquired(LockRank rank, const char* name, const void* id);
   static void NoteReleased(const void* id);
 
   // Violation sink. The default handler prints the diagnostic to stderr

@@ -16,39 +16,31 @@ namespace taurus {
 // -Werror=thread-safety` rejects mis-locked accesses at compile time, and
 // (b) a LockRank from the DESIGN.md section 12 rank table, so the runtime
 // LockRankRegistry catches ordering bugs the static analysis cannot see
-// (striped shard arrays, cross-class nesting). The wrappers satisfy
+// (nesting across classes). The wrappers satisfy
 // BasicLockable, so std::unique_lock / std::condition_variable_any compose
 // with them where the RAII guards below do not fit.
 
 class TAURUS_CAPABILITY("mutex") Mutex {
  public:
   Mutex(LockRank rank, const char* name) : rank_(rank), name_(name) {}
-  // Two-phase form for locks living inside default-constructed arrays
-  // (the plan cache's shard stripe): construct unranked, then SetRank
-  // before the first concurrent use.
+  // Unranked (LockRank::kUnranked): scratch locks in tests and examples.
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void SetRank(LockRank rank, const char* name, int stripe = -1) {
-    rank_ = rank;
-    name_ = name;
-    stripe_ = stripe;
-  }
-
   void lock() TAURUS_ACQUIRE() {
-    LockRankRegistry::CheckAcquire(rank_, name_, stripe_, this);
+    LockRankRegistry::CheckAcquire(rank_, name_, this);
     mu_.lock();
-    LockRankRegistry::NoteAcquired(rank_, name_, stripe_, this);
+    LockRankRegistry::NoteAcquired(rank_, name_, this);
   }
   void unlock() TAURUS_RELEASE() {
     LockRankRegistry::NoteReleased(this);
     mu_.unlock();
   }
   bool try_lock() TAURUS_TRY_ACQUIRE(true) {
-    LockRankRegistry::CheckAcquire(rank_, name_, stripe_, this);
+    LockRankRegistry::CheckAcquire(rank_, name_, this);
     if (!mu_.try_lock()) return false;
-    LockRankRegistry::NoteAcquired(rank_, name_, stripe_, this);
+    LockRankRegistry::NoteAcquired(rank_, name_, this);
     return true;
   }
 
@@ -59,26 +51,18 @@ class TAURUS_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
   LockRank rank_ = LockRank::kUnranked;
   const char* name_ = "<unranked>";
-  int stripe_ = -1;
 };
 
 class TAURUS_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex(LockRank rank, const char* name) : rank_(rank), name_(name) {}
-  SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void SetRank(LockRank rank, const char* name, int stripe = -1) {
-    rank_ = rank;
-    name_ = name;
-    stripe_ = stripe;
-  }
-
   void lock() TAURUS_ACQUIRE() {
-    LockRankRegistry::CheckAcquire(rank_, name_, stripe_, this);
+    LockRankRegistry::CheckAcquire(rank_, name_, this);
     mu_.lock();
-    LockRankRegistry::NoteAcquired(rank_, name_, stripe_, this);
+    LockRankRegistry::NoteAcquired(rank_, name_, this);
   }
   void unlock() TAURUS_RELEASE() {
     LockRankRegistry::NoteReleased(this);
@@ -87,9 +71,9 @@ class TAURUS_CAPABILITY("shared_mutex") SharedMutex {
   void lock_shared() TAURUS_ACQUIRE_SHARED() {
     // Shared and exclusive acquisitions rank identically: a reader that
     // nests out of order deadlocks against a writer just the same.
-    LockRankRegistry::CheckAcquire(rank_, name_, stripe_, this);
+    LockRankRegistry::CheckAcquire(rank_, name_, this);
     mu_.lock_shared();
-    LockRankRegistry::NoteAcquired(rank_, name_, stripe_, this);
+    LockRankRegistry::NoteAcquired(rank_, name_, this);
   }
   void unlock_shared() TAURUS_RELEASE_SHARED() {
     LockRankRegistry::NoteReleased(this);
@@ -103,7 +87,6 @@ class TAURUS_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
   LockRank rank_ = LockRank::kUnranked;
   const char* name_ = "<unranked>";
-  int stripe_ = -1;
 };
 
 // RAII guards. TAURUS_SCOPED_CAPABILITY tells the analysis the lock is

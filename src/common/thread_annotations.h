@@ -22,12 +22,11 @@
 //    guard on non-recursive mutexes).
 //  - TAURUS_ACQUIRED_BEFORE / TAURUS_ACQUIRED_AFTER document lock ordering
 //    where both locks are visible in one class. Orderings that span
-//    classes or lock arrays (the striped plan-cache shards) are beyond the
-//    static analysis; the runtime LockRankRegistry (common/lock_rank.h)
-//    enforces those.
-//  - TAURUS_NO_THREAD_SAFETY_ANALYSIS opts one function out — used only
-//    for the array-of-locks patterns TSA cannot express, each site citing
-//    the runtime rule that covers it instead.
+//    classes are beyond the static analysis; the runtime LockRankRegistry
+//    (common/lock_rank.h) enforces those.
+//  - The no_thread_safety_analysis opt-out (last macro below) turns the
+//    analysis off for one function. No function in src/ uses it; a new
+//    use must cite the runtime check that covers it instead.
 
 #if defined(__clang__)
 #define TAURUS_THREAD_ANNOTATION_ATTRIBUTE(x) __attribute__((x))

@@ -205,9 +205,10 @@ struct TraceConfig {
 /// executor. A failed Orca conversion falls back to the MySQL optimizer.
 ///
 /// Concurrency contract (DESIGN.md section 12): N threads may call
-/// Query/Compile/Explain* concurrently — the plan cache is lock-striped,
-/// quarantine and feedback lookups are read-mostly, metrics are atomic,
-/// and per-query state lives on the stack or in ExecContext. Everything
+/// Query/Compile/Explain* concurrently — the plan cache and quarantine
+/// each sit behind one short-held mutex, feedback lookups are read-mostly,
+/// metrics are atomic, and per-query state lives on the stack or in
+/// ExecContext. Everything
 /// else must be quiesced while queries are in flight: DDL/INSERT/ANALYZE,
 /// config-knob writes, and Clear()-style maintenance calls are
 /// single-threaded operations, exactly like MySQL's LOCK TABLES barrier.

@@ -6,22 +6,14 @@ bool QuarantineTable::IsQuarantined(uint64_t fingerprint,
                                     uint64_t schema_version,
                                     uint64_t stats_version,
                                     int failure_threshold) const {
-  // Empty-table fast path: one relaxed-atomic load, no lock. Acquire pairs
-  // with the release store in RecordFailure so a non-zero size observes the
-  // map contents that produced it.
-  if (size_.load(std::memory_order_acquire) == 0) {
-    fast_path_checks_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  shared_checks_.fetch_add(1, std::memory_order_relaxed);
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   auto it = map_.find(fingerprint);
   if (it == map_.end()) return false;
   const Entry& e = it->second;
   if (e.schema_version != schema_version || e.stats_version != stats_version) {
     // Versions moved (DDL/ANALYZE): the quarantine is lifted. The stale
-    // entry stays until the next RecordFailure resets it — erasing here
-    // would turn a read into a write on the hot path.
+    // entry stays until the next RecordFailure resets it, so a lookup
+    // never writes.
     return false;
   }
   return e.failures >= failure_threshold;
@@ -31,8 +23,7 @@ bool QuarantineTable::RecordFailure(uint64_t fingerprint,
                                     uint64_t schema_version,
                                     uint64_t stats_version,
                                     int failure_threshold) {
-  exclusive_updates_.fetch_add(1, std::memory_order_relaxed);
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   Entry& e = map_[fingerprint];
   if (e.schema_version != schema_version || e.stats_version != stats_version) {
     e = Entry{};
@@ -40,19 +31,17 @@ bool QuarantineTable::RecordFailure(uint64_t fingerprint,
     e.stats_version = stats_version;
   }
   ++e.failures;
-  size_.store(map_.size(), std::memory_order_release);
   return e.failures == failure_threshold;
 }
 
 void QuarantineTable::Clear() {
-  exclusive_updates_.fetch_add(1, std::memory_order_relaxed);
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   map_.clear();
-  size_.store(0, std::memory_order_release);
 }
 
 size_t QuarantineTable::Size() const {
-  return size_.load(std::memory_order_acquire);
+  MutexLock lock(&mu_);
+  return map_.size();
 }
 
 }  // namespace taurus

@@ -1,7 +1,6 @@
 #ifndef TAURUS_ENGINE_QUARANTINE_H_
 #define TAURUS_ENGINE_QUARANTINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 
@@ -11,16 +10,10 @@
 namespace taurus {
 
 /// Per-fingerprint quarantine registry for statements that repeatedly fail
-/// the Orca detour (DESIGN.md section 7). Sits directly on the compile hot
-/// path — every fingerprinted compile asks IsQuarantined — so the common
-/// case (nothing quarantined) is a single relaxed atomic load with no lock
-/// at all, and lookups against a non-empty table take only a shared lock.
-/// Writes (recording a detour failure) are rare by construction: each one
-/// means an optimizer bug or budget kill already happened.
-///
-/// The fast-path / shared / exclusive counters exist so the concurrency
-/// stress test can assert the hot path never degraded to locking: with an
-/// empty table, `shared_checks() == 0` across any number of sessions.
+/// the Orca detour (DESIGN.md section 7). Every fingerprinted compile asks
+/// IsQuarantined; one mutex guards the table, held for a single hash
+/// probe. Writes (recording a detour failure) are rare by construction:
+/// each one means an optimizer bug or budget kill already happened.
 class QuarantineTable {
  public:
   QuarantineTable() = default;
@@ -43,20 +36,7 @@ class QuarantineTable {
       TAURUS_EXCLUDES(mu_);
 
   void Clear() TAURUS_EXCLUDES(mu_);
-  size_t Size() const;
-
-  /// Lookups answered by the lock-free empty check alone.
-  int64_t fast_path_checks() const {
-    return fast_path_checks_.load(std::memory_order_relaxed);
-  }
-  /// Lookups that had to take the shared lock (table non-empty).
-  int64_t shared_checks() const {
-    return shared_checks_.load(std::memory_order_relaxed);
-  }
-  /// Writes (RecordFailure/Clear) that took the exclusive lock.
-  int64_t exclusive_updates() const {
-    return exclusive_updates_.load(std::memory_order_relaxed);
-  }
+  size_t Size() const TAURUS_EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -65,15 +45,8 @@ class QuarantineTable {
     uint64_t stats_version = 0;
   };
 
-  /// Mirrors map_.size(); maintained under the exclusive lock, read
-  /// lock-free by IsQuarantined's empty fast path.
-  std::atomic<size_t> size_{0};
-  mutable SharedMutex mu_{LockRank::kQuarantine, "engine.quarantine"};
+  mutable Mutex mu_{LockRank::kQuarantine, "engine.quarantine"};
   std::unordered_map<uint64_t, Entry> map_ TAURUS_GUARDED_BY(mu_);
-
-  mutable std::atomic<int64_t> fast_path_checks_{0};
-  mutable std::atomic<int64_t> shared_checks_{0};
-  mutable std::atomic<int64_t> exclusive_updates_{0};
 };
 
 }  // namespace taurus

@@ -125,30 +125,37 @@ TEST_F(LockRankTest, LeafBandForbidsAnyNestedAcquisition) {
       << g_captured[0].message;
 }
 
-TEST_F(LockRankTest, StripedSameRankAllowsAscendingStripesOnly) {
-  SharedMutex shards[3];
-  for (int i = 0; i < 3; ++i) {
-    shards[i].SetRank(LockRank::kPlanCacheShard, "engine.plan_cache.shard",
-                      i);
-  }
-  // Ascending stripe sweep (the set_capacity pattern): legal.
-  for (auto& shard : shards) shard.lock();
-  for (auto& shard : shards) shard.unlock();
-  EXPECT_TRUE(g_captured.empty());
+TEST_F(LockRankTest, SameRankNestingIsCaughtInEitherOrder) {
+  Mutex first(LockRank::kQuarantine, "engine.quarantine");
+  Mutex second(LockRank::kQuarantine, "engine.quarantine.other");
+  const std::string expected_first =
+      "lock-rank violation [LR2]: acquiring \"engine.quarantine.other\" "
+      "(rank 30) while holding \"engine.quarantine\" (rank 30) — "
+      "DESIGN.md §12 LR2: no two locks of the same rank may be held at "
+      "once";
+  const std::string expected_second =
+      "lock-rank violation [LR2]: acquiring \"engine.quarantine\" "
+      "(rank 30) while holding \"engine.quarantine.other\" (rank 30) — "
+      "DESIGN.md §12 LR2: no two locks of the same rank may be held at "
+      "once";
 
-  // Descending: the same locks in the forbidden order.
-  shards[2].lock();
-  EXPECT_THROW(shards[1].lock(), LockRankError);
-  shards[2].unlock();
-  ASSERT_EQ(g_captured.size(), 1u);
+  first.lock();
+  EXPECT_THROW(second.lock(), LockRankError);
+  first.unlock();
+  second.lock();
+  EXPECT_THROW(first.lock(), LockRankError);
+  second.unlock();
+
+  ASSERT_EQ(g_captured.size(), 2u);
   EXPECT_STREQ(g_captured[0].rule, "LR2");
-  EXPECT_EQ(g_captured[0].acquiring, "engine.plan_cache.shard[1]");
-  EXPECT_EQ(g_captured[0].holding, "engine.plan_cache.shard[2]");
-  EXPECT_NE(g_captured[0].message.find(
-                "LR2: same-rank acquisition outside the striped "
-                "ascending-index exception"),
-            std::string::npos)
-      << g_captured[0].message;
+  EXPECT_EQ(g_captured[0].acquiring, "engine.quarantine.other");
+  EXPECT_EQ(g_captured[0].holding, "engine.quarantine");
+  EXPECT_EQ(g_captured[0].message, expected_first);
+  EXPECT_STREQ(g_captured[1].rule, "LR2");
+  EXPECT_EQ(g_captured[1].acquiring, "engine.quarantine");
+  EXPECT_EQ(g_captured[1].holding, "engine.quarantine.other");
+  EXPECT_EQ(g_captured[1].message, expected_second);
+  EXPECT_EQ(LockRankRegistry::violations(), 2);
 }
 
 TEST_F(LockRankTest, SharedAcquisitionsRankLikeExclusive) {
@@ -242,8 +249,7 @@ TEST_F(LockRankTest, TpchTpcdsBothPathSweepIsViolationFree) {
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(failures.load(), 0);
 
-    // Plan-cache maintenance sweep: the all-shard ascending-stripe path
-    // (set_capacity/Clear) that motivated rule LR2's striping exception.
+    // Plan-cache maintenance calls take the cache lock too.
     db.plan_cache().set_capacity(128);
     db.plan_cache().Clear();
 

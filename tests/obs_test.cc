@@ -502,7 +502,6 @@ TEST_F(ObsEngineTest, MetricsJsonCoversTheFullTaurusInventory) {
            "taurus.plan_cache.entries", "taurus.plan_cache.evictions",
            "taurus.plan_cache.hits", "taurus.plan_cache.insertions",
            "taurus.plan_cache.invalidations", "taurus.plan_cache.misses",
-           "taurus.plan_cache.shards",
            // quarantine + verifiers
            "taurus.quarantine.entries", "taurus.verify.rules_checked",
            "taurus.verify.violations", "taurus.verify.lock_rank.checks",
