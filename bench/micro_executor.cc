@@ -1,10 +1,11 @@
 // Micro-benchmarks for the runtime pieces the cost model abstracts:
-// sequential scan rate, index lookup rate, point-lookup statements on both
-// optimizer paths, hash join build/probe rates, expression evaluation, the
-// LIKE matcher, histogram selectivity probes, and the order-preserving
-// string-prefix encoding. Useful when re-tuning CostParams (the paper's
-// Section 9 calls out Orca cost-model tuning for InnoDB as future work;
-// these are the measurements that tuning needs).
+// sequential scan rate, index lookup rate (50 and 4,000 probes per
+// statement, the latter with ascending or random keys), point-lookup
+// statements on both optimizer paths, hash join build/probe rates,
+// expression evaluation, the LIKE matcher, histogram selectivity probes,
+// and the order-preserving string-prefix encoding. Useful when re-tuning
+// CostParams (the paper's Section 9 calls out Orca cost-model tuning for
+// InnoDB as future work; these are the measurements that tuning needs).
 //
 // --json writes BENCH_executor.json (flat name -> ms/iter map) for CI
 // trending; other flags pass through to google-benchmark.
@@ -55,6 +56,21 @@ Database* Db() {
       dims.push_back({Value::Int(i), Value::Str("d" + std::to_string(i))});
     }
     if (!d->BulkLoad("d", std::move(dims)).ok()) std::abort();
+    // Index-probe legs: 4,000 outer rows whose keys each hit one of f's
+    // 50,000 primary-key entries, in ascending (p_asc) or random (p_rand)
+    // order.
+    if (!d->ExecuteSql("CREATE TABLE probe (p_id INT NOT NULL PRIMARY KEY, "
+                       "p_asc INT NOT NULL, p_rand INT NOT NULL)")
+             .ok()) {
+      std::abort();
+    }
+    Rng probe_rng(13);  // its own stream: the tables below keep their data
+    std::vector<Row> probes;
+    for (int i = 0; i < 4000; ++i) {
+      probes.push_back({Value::Int(i), Value::Int(i * 12),
+                        Value::Int(probe_rng.Uniform(0, 49999))});
+    }
+    if (!d->BulkLoad("probe", std::move(probes)).ok()) std::abort();
     // Row-buffering legs: `li` holds four rows per order key (15,000
     // groups under GROUP BY l_orderkey, as in TPC-H Q18's subquery), and
     // `wide_ord` is an orders-like build side with long strings and no
@@ -138,6 +154,30 @@ void BM_IndexLookupJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexLookupJoin);
+
+// 4,000 index nested-loop lookups into f's 50,000-entry primary key per
+// statement, so the search itself dominates rather than the per-statement
+// overhead BM_IndexLookupJoin's 50 probes mostly measure. `column` picks
+// ascending or random probe keys; index_lookups is per statement.
+void BM_IndexLookupJoinKeys(benchmark::State& state, const char* column) {
+  Database* db = Db();
+  const std::string sql = std::string("SELECT COUNT(*) FROM probe, f WHERE "
+                                      "f.id = probe.") + column;
+  int64_t lookups = 0;
+  for (auto _ : state) {
+    auto r = db->Query(sql, OptimizerPath::kMySql);
+    if (!r.ok() || r->index_lookups != 4000) {
+      state.SkipWithError("expected 4,000 index lookups");
+      break;
+    }
+    lookups += r->index_lookups;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["index_lookups"] = benchmark::Counter(
+      static_cast<double>(lookups), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_IndexLookupJoinKeys, ascending, "p_asc");
+BENCHMARK_CAPTURE(BM_IndexLookupJoinKeys, random, "p_rand");
 
 // The short-query regime: `id = K` on the primary key runs as a one-row
 // index range scan. Arg 0 forces the MySQL path, arg 1 the Orca detour;

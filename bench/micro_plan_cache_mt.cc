@@ -15,7 +15,11 @@
 // the JSON so trend consumers can tell multicore and single-core hosts
 // apart.
 //
-// Usage: micro_plan_cache_mt [--ms=300] [--json]
+// Each leg first runs a discarded warm-up window at its thread count, then
+// measures for --ms: on a shared 4-core host, 300 ms legs without a
+// warm-up swung several-fold between runs, which hid 2x changes.
+//
+// Usage: micro_plan_cache_mt [--ms=1000] [--json]
 //   --json writes BENCH_plan_cache_mt.json for CI trending.
 
 #include <atomic>
@@ -65,10 +69,18 @@ double MeasureQps(int threads, int duration_ms, const Fn& work) {
   return static_cast<double>(total_ops.load()) / secs;
 }
 
+/// MeasureQps after a discarded warm-up window at the same thread count.
+template <typename Fn>
+double MeasureLeg(int threads, int duration_ms, const Fn& work) {
+  constexpr int kWarmupMs = 200;
+  MeasureQps(threads, kWarmupMs, work);
+  return MeasureQps(threads, duration_ms, work);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int duration_ms = static_cast<int>(ArgInt(argc, argv, "--ms=", 300));
+  const int duration_ms = static_cast<int>(ArgInt(argc, argv, "--ms=", 1000));
   const bool json = ArgFlag(argc, argv, "--json");
 
   taurus::Database db;
@@ -112,7 +124,7 @@ int main(int argc, char** argv) {
   std::printf("\n%-28s %14s\n", "hit-path compile", "qps");
   double hit_t1 = 0.0, hit_t4 = 0.0;
   for (int threads : {1, 4, 16}) {
-    double qps = MeasureQps(threads, duration_ms, [&](int t, long long i) {
+    double qps = MeasureLeg(threads, duration_ms, [&](int t, long long i) {
       const int q = kShapes[(t + i) % kNumShapes];
       auto c = db.Compile(TpchQ(q), taurus::OptimizerPath::kAuto);
       if (!c.ok() || !(*c)->plan_cache_hit) std::abort();
@@ -138,7 +150,7 @@ int main(int argc, char** argv) {
   std::printf("\n%-28s %14s\n", "raw Lookup", "qps");
   double lookup_t1 = 0.0, lookup_t4 = 0.0;
   for (int threads : {1, 4, 16}) {
-    double qps = MeasureQps(threads, duration_ms, [&](int t, long long i) {
+    double qps = MeasureLeg(threads, duration_ms, [&](int t, long long i) {
       const std::string& key =
           keys[static_cast<size_t>(t * 7 + i) % keys.size()];
       auto e = cache.Lookup(key, 1, 1);

@@ -228,18 +228,9 @@ class BatchHashJoinProbe : public BatchOp {
     cand_pos_ = 0;
     const size_t i = in_pos_;
     if (null_key_[i] != 0) return;
-    auto [b, e] = state.table.equal_range(hashes_[i]);
-    for (auto it = b; it != e; ++it) {
-      const Value* cand = state.Key(it->second);
-      bool eq = true;
-      for (size_t k = 0; k < keys_.size(); ++k) {
-        if (cand[k] != keys_[k][i]) {
-          eq = false;
-          break;
-        }
-      }
-      if (eq) candidates_.push_back(it->second);
-    }
+    state.FindMatches(
+        hashes_[i], [&](size_t k) -> const Value& { return keys_[k][i]; },
+        &candidates_);
   }
 
   /// Emits the current probe row's remaining candidate pairs (or its

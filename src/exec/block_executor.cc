@@ -159,13 +159,12 @@ class IndexLookupIter : public FrameIter {
         op_->index_id >= data_->NumIndexes()) {
       return Status::Internal("bad index lookup target");
     }
-    Row key;
-    key.reserve(op_->lookup_keys.size());
+    key_.resize(op_->lookup_keys.size());
     bool has_null = false;
-    for (const Expr* e : op_->lookup_keys) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, *frame, nullptr, ctx));
-      if (v.is_null()) has_null = true;
-      key.push_back(std::move(v));
+    for (size_t k = 0; k < key_.size(); ++k) {
+      TAURUS_ASSIGN_OR_RETURN(
+          key_[k], EvalExpr(*op_->lookup_keys[k], *frame, nullptr, ctx));
+      if (key_[k].is_null()) has_null = true;
     }
     ++ctx->index_lookups;
     if (has_null) {  // equality with NULL never matches
@@ -174,7 +173,7 @@ class IndexLookupIter : public FrameIter {
       return Status::OK();
     }
     empty_ = false;
-    auto [b, e] = data_->index(op_->index_id).EqualRange(key);
+    auto [b, e] = data_->index(op_->index_id).EqualRange(key_);
     begin_ = b;
     end_ = e;
     pos_ = b;
@@ -202,6 +201,7 @@ class IndexLookupIter : public FrameIter {
   const TableData* data_ = nullptr;
   size_t begin_ = 0, end_ = 0, pos_ = 0;
   bool empty_ = false;
+  Row key_;  ///< reused per Open
 };
 
 class DerivedScanIter : public FrameIter {
@@ -384,10 +384,24 @@ std::string SketchStreamKey(const PhysOp& side,
   return SketchSet::StreamKey(key->ref_id, key->column_idx);
 }
 
+void HashJoinShared::BuildTable() {
+  const size_t n = hashes.size();
+  int bits = 1;  // at least two buckets keep the shift below 64
+  while ((size_t{1} << bits) < n) ++bits;
+  bucket_shift_ = 64 - bits;
+  heads.assign(size_t{1} << bits, kNoEntry);
+  next.resize(n);
+  for (size_t e = 0; e < n; ++e) {
+    uint32_t& head = heads[Bucket(hashes[e])];
+    next[e] = head;
+    head = static_cast<uint32_t>(e);
+  }
+}
+
 /// Drains `build` into `out`. Keeps only the build subtree's slots per row
 /// — the producers' pointers, copying just the UnstableSlots rows — and
-/// pre-sizes the table from the optimizer's cardinality estimate to cut
-/// rehashing on large builds.
+/// pre-sizes the entry arrays from the optimizer's cardinality estimate to
+/// cut regrowth on large builds.
 Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
                          FrameIter* build, Frame* frame, ExecContext* ctx,
                          HashJoinShared* out) {
@@ -399,7 +413,7 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
   out->keys.clear();
   out->rows.clear();
   out->copies.clear();
-  out->table.clear();
+  out->hashes.clear();
   std::vector<bool> copy(nr, false);  // parallel to build_refs
   for (int s : UnstableSlots(build_child, ctx->is_worker_shard)) {
     auto it = std::find(layout.build_refs.begin(), layout.build_refs.end(), s);
@@ -411,7 +425,7 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
         std::min(build_child.est_rows, 16.0 * 1024 * 1024));
     out->keys.reserve(cap * nk);
     out->rows.reserve(cap * nr);
-    out->table.reserve(cap);
+    out->hashes.reserve(cap);
   }
   // Opportunistic Fast-AGMS stream over the build keys. The plan node is
   // the stream owner, so a rebuild (re-Open inside a nested loop, or a
@@ -435,8 +449,10 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
     }
     if (has_null) continue;  // NULL keys never join
     if (sketch != nullptr) sketch->Update(key[0].Hash());
-    const size_t entry = out->table.size();
-    out->table.emplace(HashRow(key), entry);
+    if (out->hashes.size() == HashJoinShared::kNoEntry) {
+      return Status::ExecutionError("hash join build side too large");
+    }
+    out->hashes.push_back(HashRow(key));
     out->keys.insert(out->keys.end(), key.begin(), key.end());
     for (size_t j = 0; j < nr; ++j) {
       const Row* row = (*frame)[static_cast<size_t>(layout.build_refs[j])];
@@ -447,6 +463,7 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
       out->rows.push_back(row);
     }
   }
+  out->BuildTable();
   ClearSlots(frame, layout.build_refs);
   return Status::OK();
 }
@@ -525,18 +542,9 @@ class HashJoinIter : public FrameIter {
         }
         if (!has_null) {
           if (probe_sketch_ != nullptr) probe_sketch_->Update(key[0].Hash());
-          auto [b, e] = state.table.equal_range(HashRow(key));
-          for (auto it = b; it != e; ++it) {
-            const Value* cand = state.Key(it->second);
-            bool eq = true;
-            for (size_t i = 0; i < key.size(); ++i) {
-              if (cand[i] != key[i]) {
-                eq = false;
-                break;
-              }
-            }
-            if (eq) candidates_.push_back(it->second);
-          }
+          state.FindMatches(
+              HashRow(key), [&](size_t k) -> const Value& { return key[k]; },
+              &candidates_);
         }
       }
       while (cand_pos_ < candidates_.size()) {

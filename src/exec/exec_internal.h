@@ -7,6 +7,7 @@
 // machinery (one build, probed by either engine), and the driving-path
 // helpers. Not part of the public executor API.
 
+#include <cstdint>
 #include <forward_list>
 #include <memory>
 #include <string>
@@ -72,18 +73,57 @@ std::vector<int> UnstableSlots(const PhysOp& op, bool worker_shard);
 /// Key(e)[0, num_keys) and its rows are Rows(e)[0, num_refs), parallel to
 /// the layout's build_refs. The rows are the producers' own pointers,
 /// except for UnstableSlots, whose rows are copied into `copies`.
+///
+/// The hash table is flat too (DESIGN.md section 13): `hashes` holds each
+/// entry's key hash, `heads` the newest entry of each bucket and `next`
+/// each entry's next older entry in its bucket. BuildTable links the
+/// entries in build order once the build side is drained, so a probe sees
+/// the entries of one hash newest first: the join's output row order
+/// depends on it, and it is the order earlier releases produced.
 struct HashJoinShared {
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
   size_t num_keys = 0;
   size_t num_refs = 0;
   std::vector<Value> keys;
   std::vector<const Row*> rows;
   std::forward_list<Row> copies;  ///< a list: growth never moves a copy
-  std::unordered_multimap<uint64_t, size_t> table;  ///< key hash -> entry
+  std::vector<uint64_t> hashes;   ///< per entry: HashRow of its key
+  std::vector<uint32_t> heads;    ///< per bucket: newest entry, or kNoEntry
+  std::vector<uint32_t> next;     ///< per entry: next older in its bucket
 
   const Value* Key(size_t e) const { return keys.data() + e * num_keys; }
   const Row* const* Rows(size_t e) const {
     return rows.data() + e * num_refs;
   }
+
+  /// Links every entry into the table: a power-of-two bucket count of at
+  /// least the entry count, each bucket a chain from its newest entry.
+  void BuildTable();
+
+  /// Appends to `out`, newest first, every entry whose key hash is `hash`
+  /// and whose key equals the probe key, whose k-th value is `key_at(k)`.
+  template <typename KeyAt>
+  void FindMatches(uint64_t hash, KeyAt key_at,
+                   std::vector<size_t>* out) const {
+    if (heads.empty()) return;
+    for (uint32_t e = heads[Bucket(hash)]; e != kNoEntry; e = next[e]) {
+      if (hashes[e] != hash) continue;
+      const Value* cand = Key(e);
+      size_t k = 0;
+      while (k < num_keys && cand[k] == key_at(k)) ++k;
+      if (k == num_keys) out->push_back(e);
+    }
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of the product mix every hash bit.
+  static constexpr uint64_t kMix = 0x9e3779b97f4a7c15ULL;
+  size_t Bucket(uint64_t hash) const {
+    return static_cast<size_t>((hash * kMix) >> bucket_shift_);
+  }
+
+  int bucket_shift_ = 64;  ///< 64 - log2(heads.size()), set by BuildTable
 };
 
 /// Drains `build` into `out` (NULL keys skipped, AGMS build stream fed).

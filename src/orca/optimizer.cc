@@ -51,6 +51,9 @@ struct Unit {
   CardSource card_source = CardSource::kHistogram;
   AccessMethod access = AccessMethod::kTableScan;
   int access_index = -1;
+  /// IndexProbeCost of one lookup per index of a base leaf's table (0 for
+  /// an index without key columns); empty when index NLJs are off.
+  std::vector<double> probe_cost;
   std::unique_ptr<OrcaPhysicalOp> composite_plan;  ///< for composite units
 };
 
@@ -317,6 +320,16 @@ Status JoinSearch::SetupUnit(Unit* unit) {
     unit->access = access.method;
     unit->access_index = access.index_id;
     unit->access_cost = access.cost;
+    if (config_.enable_index_nlj && unit->leaf->kind == TableRef::Kind::kBase &&
+        unit->leaf->table != nullptr) {
+      for (const IndexDef& idx : unit->leaf->table->indexes) {
+        unit->probe_cost.push_back(
+            idx.column_idx.empty()
+                ? 0.0
+                : IndexProbeCost(*stats_, config_.cost, unit->leaf->ref_id,
+                                 idx.column_idx[0], unit->base_rows));
+      }
+    }
     return Status::OK();
   }
   // Composite unit: optimize its subtree recursively with a fresh search,
@@ -781,9 +794,7 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
                  nullptr;
         });
         if (!bound) continue;
-        double lookups = rows_a * IndexProbeCost(*stats_, cp, u.leaf->ref_id,
-                                                 idx.column_idx[0],
-                                                 u.base_rows);
+        double lookups = rows_a * u.probe_cost[i];
         double cost = ga.cost + lookups + out_rows * cp.row_out;
         if (cost < g->cost) {
           g->cost = cost;

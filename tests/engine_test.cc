@@ -487,6 +487,61 @@ TEST_F(EngineTest, InSubqueryNullSemanticsMatchSqlite) {
   }
 }
 
+TEST_F(EngineTest, HashJoinCandidateOrderWithDuplicateAndNullKeys) {
+  // Neither table has an index, so both paths join by hash. No ORDER BY:
+  // the expected rows pin the probe's candidate order, which is the build
+  // order reversed among equal keys (newest entry first, as
+  // std::unordered_multimap returned them). The inner join builds on its
+  // left child hp, where key 1 repeats (p_id 0 and 4); the left join builds
+  // on hb, where key 1 repeats four times and key 2 three. NULL keys on
+  // either side never match.
+  ASSERT_TRUE(
+      db_.ExecuteSql("CREATE TABLE hb (b_id INT NOT NULL, b_key INT, b_k2 INT)")
+          .ok());
+  ASSERT_TRUE(
+      db_.ExecuteSql("CREATE TABLE hp (p_id INT NOT NULL, p_key INT, p_k2 INT)")
+          .ok());
+  auto key = [](int k) { return k < 0 ? Value::Null() : Value::Int(k); };
+  std::vector<Row> build;
+  const int build_keys[] = {1, 2, 1, -1, 1, 2, 3, -1, 1, 2};  // -1 is NULL
+  for (int i = 0; i < 10; ++i) {
+    build.push_back({Value::Int(i), key(build_keys[i]), Value::Int(i % 2)});
+  }
+  std::vector<Row> probe;
+  const int probe_keys[] = {1, -1, 2, 4, 1, 3};
+  for (int i = 0; i < 6; ++i) {
+    probe.push_back({Value::Int(i), key(probe_keys[i]), Value::Int(i % 2)});
+  }
+  ASSERT_TRUE(db_.BulkLoad("hb", std::move(build)).ok());
+  ASSERT_TRUE(db_.BulkLoad("hp", std::move(probe)).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::pair<std::string, std::string> cases[] = {
+      {"SELECT p_id, b_id FROM hp JOIN hb ON b_key = p_key",
+       "(4, 0)\n(0, 0)\n(2, 1)\n(4, 2)\n(0, 2)\n(4, 4)\n(0, 4)\n(2, 5)\n"
+       "(5, 6)\n(4, 8)\n(0, 8)\n(2, 9)\n"},
+      {"SELECT p_id, b_id FROM hp LEFT JOIN hb ON b_key = p_key",
+       "(0, 8)\n(0, 4)\n(0, 2)\n(0, 0)\n(1, NULL)\n(2, 9)\n(2, 5)\n(2, 1)\n"
+       "(3, NULL)\n(4, 8)\n(4, 4)\n(4, 2)\n(4, 0)\n(5, 6)\n"},
+      {"SELECT p_id, b_id FROM hp JOIN hb ON b_key = p_key AND b_k2 = p_k2",
+       "(4, 0)\n(0, 0)\n(4, 2)\n(0, 2)\n(4, 4)\n(0, 4)\n(4, 8)\n(0, 8)\n"},
+  };
+  for (const auto& [sql, want] : cases) {
+    for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+      for (bool batch : {false, true}) {
+        SCOPED_TRACE(sql + (path == OptimizerPath::kOrca ? " orca" : " mysql") +
+                     " batch=" + std::to_string(batch));
+        db_.exec_config().enable_batch = batch;
+        auto e = db_.Explain(sql, path);
+        ASSERT_TRUE(e.ok()) << e.status().ToString();
+        EXPECT_NE(e->find(" hash join ("), std::string::npos) << *e;
+        auto r = db_.Query(sql, path);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(RowsToText(r->rows), want);
+      }
+    }
+  }
+}
+
 TEST_F(EngineTest, InstrumentationCountsSomething) {
   auto r = db_.Query(
       "SELECT c_name, o_id FROM customer JOIN orders ON o_cust = c_id "

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+
 #include "exec/block_executor.h"
+#include "exec/exec_internal.h"
 #include "exec/expr_eval.h"
 #include "frontend/prepare.h"
 #include "myopt/mysql_optimizer.h"
@@ -310,6 +314,62 @@ TEST_F(ExecutorTest, OwnedFrameRoundTrip) {
   EXPECT_EQ((*view[0])[0].AsInt(), 1);
   EXPECT_EQ(view[1], nullptr);
   EXPECT_EQ((*view[2])[0].AsString(), "x");
+}
+
+// ---------------------------------------------------------------------------
+// The hash-join table: candidate order and collision filtering.
+// ---------------------------------------------------------------------------
+
+/// The entries a probe for `key` with hash `hash` finds, in probe order.
+std::vector<size_t> FindMatches(const HashJoinShared& state, uint64_t hash,
+                                const Value& key) {
+  std::vector<size_t> out;
+  state.FindMatches(
+      hash, [&](size_t) -> const Value& { return key; }, &out);
+  return out;
+}
+
+TEST(HashJoinSharedTest, EqualHashesNewestFirstAndCollisionsFiltered) {
+  HashJoinShared state;
+  state.num_keys = 1;
+  state.keys = {Value::Int(5), Value::Int(7), Value::Int(5), Value::Int(9),
+                Value::Int(5)};
+  state.hashes = {100, 100, 100, 200, 100};  // key 7 collides with key 5
+  EXPECT_TRUE(FindMatches(state, 100, Value::Int(5)).empty());  // unbuilt
+  state.BuildTable();
+  EXPECT_EQ(FindMatches(state, 100, Value::Int(5)),
+            (std::vector<size_t>{4, 2, 0}));
+  EXPECT_EQ(FindMatches(state, 100, Value::Int(7)), (std::vector<size_t>{1}));
+  EXPECT_EQ(FindMatches(state, 200, Value::Int(9)), (std::vector<size_t>{3}));
+  EXPECT_TRUE(FindMatches(state, 200, Value::Int(5)).empty());
+  EXPECT_TRUE(FindMatches(state, 300, Value::Int(5)).empty());
+}
+
+TEST(HashJoinSharedTest, CandidateOrderMatchesUnorderedMultimap) {
+  // The table the flat one replaced: a probe walked equal_range(hash),
+  // which libstdc++ returns newest first, rehashes included.
+  std::mt19937_64 rng(20221014);
+  for (size_t n : {0, 1, 7, 64, 3000}) {
+    HashJoinShared state;
+    state.num_keys = 1;
+    std::unordered_multimap<uint64_t, size_t> reference;
+    for (size_t e = 0; e < n; ++e) {
+      // Few distinct hashes, spread over high and low bits.
+      const uint64_t hash = (rng() % 97) * 0x0101010101010101ULL;
+      state.keys.push_back(Value::Int(0));
+      state.hashes.push_back(hash);
+      reference.emplace(hash, e);
+    }
+    state.BuildTable();
+    for (uint64_t h = 0; h < 97; ++h) {
+      const uint64_t hash = h * 0x0101010101010101ULL;
+      std::vector<size_t> want;
+      auto [b, e] = reference.equal_range(hash);
+      for (auto it = b; it != e; ++it) want.push_back(it->second);
+      EXPECT_EQ(FindMatches(state, hash, Value::Int(0)), want)
+          << "n=" << n << " hash " << hash;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/storage.h"
 
@@ -44,22 +48,22 @@ TEST_F(StorageTest, RowsStored) {
 TEST_F(StorageTest, PrimaryIndexPointLookup) {
   const OrderedIndex& pk = data_->index(0);
   EXPECT_EQ(pk.NumEntries(), 100u);
-  auto [b, e] = pk.EqualRange({Value::Int(55)});
+  auto [b, e] = pk.EqualRange(Row{Value::Int(55)});
   ASSERT_EQ(e - b, 1u);
   EXPECT_EQ(data_->row(pk.row_id(b))[0].AsInt(), 55);
 }
 
 TEST_F(StorageTest, LookupMiss) {
-  auto [b, e] = data_->index(0).EqualRange({Value::Int(1000)});
+  auto [b, e] = data_->index(0).EqualRange(Row{Value::Int(1000)});
   EXPECT_EQ(b, e);
 }
 
 TEST_F(StorageTest, SecondaryPrefixLookup) {
   // Key prefix (grp) matches 10 rows.
-  auto [b, e] = data_->index(1).EqualRange({Value::Int(3)});
+  auto [b, e] = data_->index(1).EqualRange(Row{Value::Int(3)});
   EXPECT_EQ(e - b, 10u);
   // Full composite key matches exactly one.
-  auto [b2, e2] = data_->index(1).EqualRange({Value::Int(3), Value::Int(13)});
+  auto [b2, e2] = data_->index(1).EqualRange(Row{Value::Int(3), Value::Int(13)});
   EXPECT_EQ(e2 - b2, 1u);
 }
 
@@ -283,6 +287,109 @@ TEST_F(OrderedIndexPropertyTest, RangeMatchesBruteForce) {
       EXPECT_EQ(Slice(index, index.Range(lo, lo_inc, hi, hi_inc)), expected)
           << index.def().name << " lo "
           << (lo ? lo->ToString() : "open") << (lo_inc ? " [" : " (")
+          << " hi " << (hi ? hi->ToString() : "open") << (hi_inc ? "]" : ")");
+    }
+  }
+}
+
+/// The packed first-key search against the row-reading one over the same
+/// rows: an index built with pack_first_key = false is the reference, and
+/// both must order the entries alike and return the same ranges for every
+/// probe, integer or not.
+class PackedIndexTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 500;
+
+  void SetUp() override {
+    // Column 0: integers in [-20, 20] with duplicates, negatives, both
+    // int64 extremes and ~1 in 8 NULL. Column 1: a small integer domain
+    // with NULLs. Column 2: strings. Column 3: integers mixed with doubles.
+    for (int r = 0; r < kRows; ++r) {
+      Value i0 = rng_() % 8 == 0 ? Value::Null() : Value::Int(SmallInt(20));
+      if (r == 7) i0 = Value::Int(INT64_MIN);
+      if (r == 11) i0 = Value::Int(INT64_MAX);
+      Value i1 = rng_() % 6 == 0 ? Value::Null() : Value::Int(SmallInt(3));
+      Value s = Value::Str(std::string(1, static_cast<char>('a' + rng_() % 6)));
+      Value mixed = rng_() % 5 == 0 ? Value::Double(0.5 + SmallInt(4))
+                                    : Value::Int(SmallInt(4));
+      rows_.push_back({i0, i1, s, mixed});
+    }
+    for (const auto& [cols, packed] :
+         std::vector<std::pair<std::vector<int>, bool>>{{{0}, true},
+                                                        {{0, 1}, true},
+                                                        {{1, 0}, true},
+                                                        {{2}, false},
+                                                        {{2, 0}, false},
+                                                        {{3}, false}}) {
+      defs_.push_back(IndexDef{"idx", cols, false, false});
+      expect_packed_.push_back(packed);
+    }
+  }
+
+  /// Uniform in [-m, m].
+  int64_t SmallInt(int64_t m) {
+    return static_cast<int64_t>(rng_() % static_cast<uint64_t>(2 * m + 1)) - m;
+  }
+
+  /// A probe value: mostly integers in and just past column 0's domain,
+  /// and sometimes 3.0, 3.5, NULL or a string.
+  Value Probe() {
+    switch (rng_() % 10) {
+      case 0:
+        return Value::Double(3.0);
+      case 1:
+        return Value::Double(3.5);
+      case 2:
+        return Value::Null();
+      case 3:
+        return Value::Str("3");
+      default:
+        return Value::Int(SmallInt(22));
+    }
+  }
+
+  std::mt19937_64 rng_{20261020};
+  std::vector<Row> rows_;
+  std::vector<IndexDef> defs_;
+  std::vector<bool> expect_packed_;
+};
+
+TEST_F(PackedIndexTest, PackedSearchMatchesRowReadingSearch) {
+  for (size_t x = 0; x < defs_.size(); ++x) {
+    SCOPED_TRACE("index " + std::to_string(x));
+    OrderedIndex packed(&defs_[x]);
+    OrderedIndex reference(&defs_[x]);
+    packed.Build(rows_);
+    reference.Build(rows_, /*pack_first_key=*/false);
+    EXPECT_EQ(packed.packed(), expect_packed_[x]);
+    EXPECT_FALSE(reference.packed());
+    ASSERT_EQ(packed.NumEntries(), reference.NumEntries());
+    for (size_t i = 0; i < packed.NumEntries(); ++i) {
+      ASSERT_EQ(packed.row_id(i), reference.row_id(i)) << "entry " << i;
+    }
+    const size_t num_keys = defs_[x].column_idx.size();
+    for (int trial = 0; trial < 400; ++trial) {
+      // 1- and 2-column prefixes; the second column is probed with
+      // column 1's domain so composite runs are split, not just missed.
+      Row prefix{Probe()};
+      if (num_keys > 1 && trial % 2 == 1) {
+        prefix.push_back(rng_() % 8 == 0 ? Probe() : Value::Int(SmallInt(3)));
+      }
+      EXPECT_EQ(packed.EqualRange(prefix), reference.EqualRange(prefix))
+          << RowToString(prefix);
+    }
+    // Range: each bound open, NULL, an integer, 3.0 or 3.5, with every
+    // inclusivity.
+    for (int trial = 0; trial < 400; ++trial) {
+      Value lo_val = Probe();
+      Value hi_val = Probe();
+      const Value* lo = rng_() % 4 == 0 ? nullptr : &lo_val;
+      const Value* hi = rng_() % 4 == 0 ? nullptr : &hi_val;
+      const bool lo_inc = (trial & 1) != 0;
+      const bool hi_inc = (trial & 2) != 0;
+      EXPECT_EQ(packed.Range(lo, lo_inc, hi, hi_inc),
+                reference.Range(lo, lo_inc, hi, hi_inc))
+          << "lo " << (lo ? lo->ToString() : "open") << (lo_inc ? " [" : " (")
           << " hi " << (hi ? hi->ToString() : "open") << (hi_inc ? "]" : ")");
     }
   }
