@@ -20,7 +20,7 @@
 #     running inside worker clones get the same race sweep — and the
 #     multi-session server stress test (server_stress_test: admission
 #     queueing, overload shedding, and the
-#     plan-cache/quarantine/feedback hot paths under {4,16,64} concurrent
+#     plan-cache/quarantine hot paths under {4,16,64} concurrent
 #     sessions; its ctest TIMEOUT fails a deadlock fast instead of hanging
 #     the leg). The combined address,undefined leg is the one to run over
 #     the batch executor's vector kernels (out-of-bounds selection indices
@@ -136,12 +136,6 @@ fi
 # Bench legs below run from the repo root so the BENCH_*.json artifacts
 # land where the CI trajectory collector looks for them (not inside the
 # throwaway build dir).
-
-# Feedback-loop smoke: first-vs-second optimization q-error on TPC-H
-# Q8/Q17 with the cardinality feedback loop enabled; writes
-# BENCH_feedback.json for CI trending.
-echo "check.sh: feedback-loop bench (BENCH_feedback.json)"
-(cd "$repo_root" && "$build_dir/bench/micro_feedback" --json)
 
 # Server-core benches: plan-cache hit-path and raw Lookup throughput at
 # 1/4/16 threads and the admission controller under overload (sheds +

@@ -9,7 +9,7 @@ repo root. This collects every such file into a single document keyed by
 the bench name (the BENCH_/.json-stripped stem), so trend dashboards track
 one artifact per run:
 
-  {"benches": {"feedback": {...}, "plan_cache_mt": {...}, ...},
+  {"benches": {"digest": {...}, "plan_cache_mt": {...}, ...},
    "count": N}
 
 Unparseable files fail the merge (a bench that emits broken JSON should

@@ -63,8 +63,7 @@ OrcaPathOptimizer::OrcaPathOptimizer(const Catalog& catalog,
                                      const OrcaConfig& config,
                                      ResourceGovernor* governor,
                                      const PlanVerifyConfig* verify,
-                                     Tracer* tracer,
-                                     const FeedbackSnapshot* feedback)
+                                     Tracer* tracer)
     : catalog_(catalog),
       stmt_(stmt),
       mdp_(mdp),
@@ -72,7 +71,6 @@ OrcaPathOptimizer::OrcaPathOptimizer(const Catalog& catalog,
       governor_(governor),
       verify_(verify),
       tracer_(tracer),
-      feedback_(feedback),
       stats_(catalog, stmt->leaves, mdp) {}
 
 Status OrcaPathOptimizer::CheckEnforce(const char* subsystem) const {
@@ -138,7 +136,6 @@ Result<std::unique_ptr<BlockSkeleton>> OrcaPathOptimizer::RemapSkeleton(
     copy->join_type = n.join_type;
     copy->est_rows = n.est_rows;
     copy->est_cost = n.est_cost;
-    copy->card_source = n.card_source;
     if (n.is_join) {
       copy->left = clone_node(*n.left);
       copy->right = clone_node(*n.right);
@@ -250,13 +247,11 @@ Result<std::unique_ptr<BlockSkeleton>> OrcaPathOptimizer::OptimizeBlock(
     }
     ScopedSpan optimize_span(tracer_, "orca.optimize");
     OrcaOptimizer optimizer(config_, &stats_, stmt_->num_refs, governor_,
-                            tracer_, feedback_);
+                            tracer_);
     TAURUS_ASSIGN_OR_RETURN(auto physical, optimizer.Optimize(logical.get()));
     optimize_span.End();
     metrics_.partitions_evaluated += optimizer.partitions_evaluated();
     metrics_.memo_groups += optimizer.num_groups();
-    metrics_.feedback_actual_overrides += optimizer.actual_overrides();
-    metrics_.feedback_sketch_overrides += optimizer.sketch_overrides();
     if (ShouldVerify()) {
       ScopedSpan verify_span(tracer_, "verify.physical");
       VerifyPhysicalPlan(*physical, *block, &verify_report_);

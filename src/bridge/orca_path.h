@@ -8,7 +8,6 @@
 #include "catalog/catalog.h"
 #include "common/resource_budget.h"
 #include "common/result.h"
-#include "feedback/feedback_store.h"
 #include "frontend/binder.h"
 #include "mdp/provider.h"
 #include "mdp/stats_adapter.h"
@@ -27,10 +26,6 @@ struct OrcaPathMetrics {
   int64_t mdp_cache_hits = 0;
   int cte_producers_reused = 0;
   int subqueries_decorrelated = 0;
-  /// Memo cardinalities overridden by harvested actuals / sketch estimates
-  /// (feedback loop, DESIGN.md section 11).
-  int64_t feedback_actual_overrides = 0;
-  int64_t feedback_sketch_overrides = 0;
 };
 
 /// Drives the Orca detour for a whole statement: for every query block
@@ -57,15 +52,11 @@ class OrcaPathOptimizer {
   /// `tracer`, when non-null, records the detour's pipeline sub-spans
   /// (decorrelate, parse_tree_convert, orca.optimize with its memo spans,
   /// plan_convert, verify.*) for the per-query trace.
-  /// `feedback`, when non-null, carries harvested execution feedback for
-  /// this statement's fingerprint into every block's memo search
-  /// (cardinality override precedence actual > sketch > histogram).
   OrcaPathOptimizer(const Catalog& catalog, BoundStatement* stmt,
                     MetadataProvider* mdp, const OrcaConfig& config,
                     ResourceGovernor* governor = nullptr,
                     const PlanVerifyConfig* verify = nullptr,
-                    Tracer* tracer = nullptr,
-                    const FeedbackSnapshot* feedback = nullptr);
+                    Tracer* tracer = nullptr);
 
   Result<std::unique_ptr<BlockSkeleton>> Optimize();
 
@@ -96,7 +87,6 @@ class OrcaPathOptimizer {
   ResourceGovernor* governor_;
   const PlanVerifyConfig* verify_;
   Tracer* tracer_;
-  const FeedbackSnapshot* feedback_;
   MdpStatsProvider stats_;
   OrcaPathMetrics metrics_;
   VerifyReport verify_report_;

@@ -31,7 +31,6 @@ Result<std::unique_ptr<SkeletonNode>> Convert(const OrcaPhysicalOp& op,
   auto node = std::make_unique<SkeletonNode>();
   node->est_rows = op.rows;
   node->est_cost = op.cost;
-  node->card_source = op.card_source;
   switch (op.kind) {
     case OrcaPhysicalOp::Kind::kTableScan:
       node->is_join = false;

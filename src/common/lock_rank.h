@@ -39,7 +39,6 @@ enum class LockRank : int {
   kServerAdmission = 10,   // AdmissionController::mu_      "server.admission"
   kPlanCache = 20,         // PlanCache::mu_                 "engine.plan_cache"
   kQuarantine = 30,        // QuarantineTable::mu_           "engine.quarantine"
-  kFeedbackStore = 40,     // FeedbackStore::mu_             "feedback.store"
   kMdpRelationCache = 50,  // MetadataProvider::cache_mu_    "mdp.relation_cache"
   kPoolGate = 60,          // Database::pool_mu_             "engine.pool_gate"
   kThreadPool = 70,        // ThreadPool::mu_                "common.thread_pool"
@@ -47,7 +46,6 @@ enum class LockRank : int {
   // Leaf band: only trivial, lock-free work happens under these.
   kDatabaseState = 100,    // Database::state_mu_            "engine.state"
   kMetricsRegistry = 110,  // MetricsRegistry::mu_           "obs.metrics_registry"
-  kSketchSet = 120,        // SketchSet::mu_                 "feedback.sketch_set"
   kFaultInjector = 130,    // FaultInjector::Impl::mu        "common.fault_injector"
   kDigestStore = 140,      // DigestStore::mu_               "obs.digest_store"
   kFlightRecorder = 150,   // FlightRecorder::mu_            "obs.flight_recorder"

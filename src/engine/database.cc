@@ -16,7 +16,6 @@
 #include "frontend/fingerprint.h"
 #include "myopt/mysql_optimizer.h"
 #include "myopt/refine.h"
-#include "obs/estimate_feedback.h"
 #include "parser/parser.h"
 #include "verify/block_verifier.h"
 #include "verify/skeleton_verifier.h"
@@ -287,13 +286,6 @@ void Database::BindCounters() {
   counters_.exec_rows_scanned = metrics_.GetCounter("taurus.exec.rows_scanned");
   counters_.exec_index_lookups =
       metrics_.GetCounter("taurus.exec.index_lookups");
-  counters_.feedback_harvests = metrics_.GetCounter("taurus.feedback.harvests");
-  counters_.feedback_drift_bumps =
-      metrics_.GetCounter("taurus.feedback.drift_bumps");
-  counters_.feedback_actual_overrides =
-      metrics_.GetCounter("taurus.feedback.actual_overrides");
-  counters_.feedback_sketch_overrides =
-      metrics_.GetCounter("taurus.feedback.sketch_overrides");
   counters_.profile_pipelines =
       metrics_.GetCounter("taurus.exec.profile.pipelines");
   counters_.profile_morsels = metrics_.GetCounter("taurus.exec.profile.morsels");
@@ -335,20 +327,12 @@ void Database::SyncGaugeMetrics() {
       ->Set(static_cast<double>(s.evictions));
   metrics_.GetGauge("taurus.plan_cache.invalidations")
       ->Set(static_cast<double>(s.invalidations));
-  metrics_.GetGauge("taurus.plan_cache.drift_invalidations")
-      ->Set(static_cast<double>(s.drift_invalidations));
   metrics_.GetGauge("taurus.plan_cache.entries")
       ->Set(static_cast<double>(plan_cache_.size()));
   metrics_.GetGauge("taurus.plan_cache.capacity")
       ->Set(static_cast<double>(plan_cache_.capacity()));
   metrics_.GetGauge("taurus.quarantine.entries")
       ->Set(static_cast<double>(quarantine_.Size()));
-  metrics_.GetGauge("taurus.feedback.entries")
-      ->Set(static_cast<double>(feedback_store_.Size()));
-  metrics_.GetGauge("taurus.feedback.lru_evictions")
-      ->Set(static_cast<double>(feedback_store_.lru_evictions()));
-  metrics_.GetGauge("taurus.feedback.version_resets")
-      ->Set(static_cast<double>(feedback_store_.version_resets()));
   // Workload introspection (DESIGN.md section 15).
   metrics_.GetGauge("taurus.obs.digest.records")
       ->Set(static_cast<double>(digest_store_.records()));
@@ -444,8 +428,6 @@ std::string Database::MakeCacheKey(const std::string& canonical,
     key += ",";
     key += std::to_string(v);
   }
-  key += "|fb=";
-  key += feedback_config_.enable ? '1' : '0';
   return key;
 }
 
@@ -543,8 +525,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
   uint64_t fingerprint = 0;
   std::string canonical;
   bool quarantined = false;
-  if (use_cache || quarantine_config_.enable || feedback_config_.enable ||
-      digest_config_.enable) {
+  if (use_cache || quarantine_config_.enable || digest_config_.enable) {
     ScopedSpan fp_span(tracer, "fingerprint");
     StatementFingerprint fp = FingerprintStatement(stmt);
     fingerprint = fp.hash;
@@ -553,17 +534,6 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
                   IsQuarantined(fingerprint);
     fp_span.Attr("fingerprint", std::to_string(fingerprint));
     if (quarantined) fp_span.Attr("quarantined", "true");
-  }
-
-  // Execution feedback for this fingerprint: the snapshot feeds the Orca
-  // detour's cardinality estimation; the drift version guards the plan
-  // cache (an entry stamped with an older version is evicted below).
-  std::shared_ptr<const FeedbackSnapshot> feedback;
-  uint64_t feedback_version = 0;
-  if (feedback_config_.enable && fingerprint != 0) {
-    feedback = feedback_store_.Snapshot(fingerprint, catalog_.schema_version(),
-                                        catalog_.stats_version());
-    feedback_version = feedback_store_.DriftVersion(fingerprint);
   }
 
   // Skeleton-plan cache: looked up strictly before the router, so a hit
@@ -576,7 +546,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     ScopedSpan lookup_span(tracer, "cache.lookup");
     std::shared_ptr<const PlanCacheEntry> entry =
         plan_cache_.Lookup(cache_key, catalog_.schema_version(),
-                           catalog_.stats_version(), feedback_version);
+                           catalog_.stats_version());
     if (entry != nullptr && quarantined && entry->used_orca) entry.reset();
     lookup_span.Attr("hit", entry != nullptr ? "true" : "false");
     lookup_span.End();
@@ -613,7 +583,6 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     entry.cold_optimize_ms = cold_ms;
     entry.schema_version = catalog_.schema_version();
     entry.stats_version = catalog_.stats_version();
-    entry.feedback_version = feedback_version;
     plan_cache_.Insert(cache_key, std::move(entry),
                        plan_cache_config_.capacity);
   };
@@ -642,7 +611,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     OrcaPathOptimizer orca(
         catalog_, &stmt, &mdp_, orca_config_,
         resource_budget_.governs_optimize() ? &governor : nullptr,
-        &verify_config_, tracer, feedback.get());
+        &verify_config_, tracer);
     auto orca_skel = orca.Optimize();
     int verifier_rules = orca.verify_report().rules_checked;
     int verifier_violations = orca.verify_report().violations();
@@ -686,10 +655,6 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
         if (detour_error.ok()) {
           compiled->verifier_rules = verifier_rules;
           compiled->verifier_violations = verifier_violations;
-          compiled->feedback_actual_overrides =
-              orca.metrics().feedback_actual_overrides;
-          compiled->feedback_sketch_overrides =
-              orca.metrics().feedback_sketch_overrides;
           compiled->fingerprint = fingerprint;
           compiled->canonical = std::move(canonical);
           compiled->optimize_ms = MsSince(start);
@@ -884,23 +849,6 @@ Result<QueryResult> Database::QueryPipeline(
     ctx.op_actuals = actuals;
     ctx.analyze_clock = analyze_clock;
   }
-  // Cardinality-feedback harvest (DESIGN.md section 11): record per-node
-  // actuals — reusing the caller's map when EXPLAIN ANALYZE already asked
-  // for them — and stream hash-join keys into Fast-AGMS sketches.
-  bool harvest = feedback_config_.enable && compiled->fingerprint != 0;
-  OpActualsMap harvest_actuals;
-  std::unique_ptr<SketchSet> sketch_set;
-  if (harvest) {
-    if (ctx.op_actuals == nullptr) {
-      ctx.op_actuals = &harvest_actuals;
-      ctx.analyze_clock = analyze_clock;
-    }
-    if (feedback_config_.sketches) {
-      sketch_set = std::make_unique<SketchSet>(feedback_config_.sketch_depth,
-                                               feedback_config_.sketch_width);
-      ctx.sketches = sketch_set.get();
-    }
-  }
   if (verify_config_.verify_plans) {
     // B004 — budget hooks present on the armed execution context.
     VerifyReport arm_report;
@@ -964,20 +912,6 @@ Result<QueryResult> Database::QueryPipeline(
       retry_ctx.op_actuals = actuals;
       retry_ctx.analyze_clock = analyze_clock;
     }
-    harvest = feedback_config_.enable && compiled->fingerprint != 0;
-    if (harvest) {
-      if (retry_ctx.op_actuals == nullptr) {
-        harvest_actuals.clear();  // the aborted run's partials are stale
-        retry_ctx.op_actuals = &harvest_actuals;
-        retry_ctx.analyze_clock = analyze_clock;
-      }
-      if (feedback_config_.sketches) {
-        // Fresh sketch set: the killed run's streams are partial.
-        sketch_set = std::make_unique<SketchSet>(
-            feedback_config_.sketch_depth, feedback_config_.sketch_width);
-        retry_ctx.sketches = sketch_set.get();
-      }
-    }
     if (verify_config_.verify_plans) {
       VerifyReport arm_report;
       VerifyExecBudgetArming(/*used_orca=*/false,
@@ -1025,32 +959,6 @@ Result<QueryResult> Database::QueryPipeline(
     counters_.batch_pipelines->Increment(out.batch_pipelines);
     counters_.batches->Increment(out.batches);
     counters_.batch_rows->Increment(out.batch_rows);
-  }
-  out.feedback_actual_overrides = compiled->feedback_actual_overrides;
-  out.feedback_sketch_overrides = compiled->feedback_sketch_overrides;
-  if (out.feedback_actual_overrides > 0) {
-    counters_.feedback_actual_overrides->Increment(
-        out.feedback_actual_overrides);
-  }
-  if (out.feedback_sketch_overrides > 0) {
-    counters_.feedback_sketch_overrides->Increment(
-        out.feedback_sketch_overrides);
-  }
-  if (harvest && !IsQuarantined(compiled->fingerprint)) {
-    FeedbackSample sample;
-    if (final_ctx->op_actuals != nullptr) {
-      HarvestFeedbackSample(*compiled->root, *final_ctx->op_actuals, &sample);
-    }
-    if (sketch_set != nullptr) sample.sketches = sketch_set->TakeValid();
-    HarvestResult hr = feedback_store_.Harvest(
-        compiled->fingerprint, std::move(sample),
-        feedback_config_.qerror_invalidation_threshold,
-        catalog_.schema_version(), catalog_.stats_version());
-    out.feedback_harvested = hr.stored;
-    out.feedback_version_bumped = hr.version_bumped;
-    out.feedback_max_q_error = hr.max_q_error;
-    if (hr.stored) counters_.feedback_harvests->Increment();
-    if (hr.version_bumped) counters_.feedback_drift_bumps->Increment();
   }
   if (tracer != nullptr) {
     tracer->SetAttr(final_exec_id, "workers",

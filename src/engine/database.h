@@ -22,7 +22,6 @@
 #include "exec/exec_profile.h"
 #include "exec/op_actuals.h"
 #include "exec/physical_plan.h"
-#include "feedback/feedback_store.h"
 #include "frontend/prepare.h"
 #include "mdp/provider.h"
 #include "obs/digest_store.h"
@@ -79,19 +78,6 @@ struct QueryResult {
   /// arming check), and how many fired.
   int verifier_rules = 0;
   int verifier_violations = 0;
-  /// True when this execution's actuals were folded into the feedback store
-  /// (feedback enabled, fingerprinted, not quarantined).
-  bool feedback_harvested = false;
-  /// True when the harvest bumped the fingerprint's drift version — its
-  /// cached skeleton will be evicted and re-optimized with actuals.
-  bool feedback_version_bumped = false;
-  /// Max q-error observed across this execution's harvested nodes (1.0
-  /// when nothing was harvested).
-  double feedback_max_q_error = 1.0;
-  /// Optimizer cardinalities served from harvested actuals / sketches
-  /// during this query's compile (0 on cache hits and the MySQL path).
-  int64_t feedback_actual_overrides = 0;
-  int64_t feedback_sketch_overrides = 0;
   /// --- Session/admission state (set by the src/server/ layer; always
   /// default for queries issued directly against the Database) ---
   /// True when the admission controller shed this query onto the cheap
@@ -206,10 +192,9 @@ struct TraceConfig {
 ///
 /// Concurrency contract (DESIGN.md section 12): N threads may call
 /// Query/Compile/Explain* concurrently — the plan cache and quarantine
-/// each sit behind one short-held mutex, feedback lookups are read-mostly,
-/// metrics are atomic, and per-query state lives on the stack or in
-/// ExecContext. Everything
-/// else must be quiesced while queries are in flight: DDL/INSERT/ANALYZE,
+/// each sit behind one short-held mutex, metrics are atomic, and per-query
+/// state lives on the stack or in ExecContext. Everything else must be
+/// quiesced while queries are in flight: DDL/INSERT/ANALYZE,
 /// config-knob writes, and Clear()-style maintenance calls are
 /// single-threaded operations, exactly like MySQL's LOCK TABLES barrier.
 /// The `last_*` accessors are most-recent views for single-session
@@ -219,9 +204,9 @@ class Database {
  public:
   Database() : mdp_(catalog_) {
     BindCounters();
-    // Cached-skeleton invalidations (DDL / ANALYZE / feedback drift) open a
-    // new plan epoch in the statement's digest, so before/after latency
-    // splits survive the eviction (DESIGN.md section 15).
+    // Cached-skeleton invalidations (DDL / ANALYZE) open a new plan epoch
+    // in the statement's digest, so before/after latency splits survive the
+    // eviction (DESIGN.md section 15).
     plan_cache_.SetInvalidationHook([this](uint64_t fp, const char* cause) {
       digest_store_.BumpEpoch(fp, cause);
     });
@@ -283,10 +268,6 @@ class Database {
   ResourceBudgetConfig& resource_budget() { return resource_budget_; }
   QuarantineConfig& quarantine_config() { return quarantine_config_; }
   ExecutorConfig& exec_config() { return exec_config_; }
-  /// Cardinality-feedback loop knobs (off by default; DESIGN.md section
-  /// 11). The store reads this object live, so knob changes apply to the
-  /// next query.
-  FeedbackConfig& feedback_config() { return feedback_config_; }
   /// Cross-layer plan verifier knobs (always-on in Debug/sanitizer builds,
   /// opt-in in Release).
   PlanVerifyConfig& verify_config() { return verify_config_; }
@@ -330,10 +311,6 @@ class Database {
   /// tuning in tests and benches).
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
-
-  /// The execution-feedback store (exposed for stats and Clear() in tests).
-  FeedbackStore& feedback_store() { return feedback_store_; }
-  const FeedbackStore& feedback_store() const { return feedback_store_; }
 
   /// The statement-digest performance-schema table (SHOW DIGESTS).
   DigestStore& digest_store() { return digest_store_; }
@@ -505,10 +482,6 @@ class Database {
     Counter* batch_rows = nullptr;
     Counter* exec_rows_scanned = nullptr;
     Counter* exec_index_lookups = nullptr;
-    Counter* feedback_harvests = nullptr;
-    Counter* feedback_drift_bumps = nullptr;
-    Counter* feedback_actual_overrides = nullptr;
-    Counter* feedback_sketch_overrides = nullptr;
     Counter* profile_pipelines = nullptr;
     Counter* profile_morsels = nullptr;
     Gauge* profile_last_busy_ms = nullptr;
@@ -529,8 +502,6 @@ class Database {
   ResourceBudgetConfig resource_budget_;
   QuarantineConfig quarantine_config_;
   ExecutorConfig exec_config_;
-  FeedbackConfig feedback_config_;
-  FeedbackStore feedback_store_{feedback_config_};
   PlanVerifyConfig verify_config_;
   TraceConfig trace_config_;
   MetricsRegistry metrics_;

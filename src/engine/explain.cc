@@ -106,16 +106,8 @@ class ExplainRenderer {
 
  private:
   /// Estimate annotation, plus actuals + q-error under EXPLAIN ANALYZE.
-  /// Estimates that did not come from histogram formulas carry their
-  /// provenance ("cardinality_source: actual|sketch") so the feedback loop
-  /// is visible in plans (DESIGN.md section 11).
   std::string Annot(const PhysOp& op) {
     std::string out = Est(op.est_cost, op.est_rows);
-    if (op.card_source != CardSource::kHistogram) {
-      out += " (cardinality_source: ";
-      out += CardSourceName(op.card_source);
-      out += ")";
-    }
     if (analyze_ != nullptr) {
       out += ActualAnnot(analyze_->actuals->Find(&op), op.est_rows);
     }
@@ -491,9 +483,6 @@ class AnalyzeJsonWriter {
     std::snprintf(buf, sizeof(buf), ", \"est_rows\": %.4f, \"est_cost\": %.4f",
                   op.est_rows, op.est_cost);
     *out += buf;
-    *out += ", \"cardinality_source\": \"";
-    *out += CardSourceName(op.card_source);
-    *out += "\"";
     *out += ", \"batch_native\": ";
     *out += op.batch_native ? "true" : "false";
     if (!op.batch_native) {

@@ -45,7 +45,6 @@ Result<std::unique_ptr<FrozenSkeletonNode>> FreezeNode(
   out->is_join = node.is_join;
   out->est_rows = node.est_rows;
   out->est_cost = node.est_cost;
-  out->card_source = node.card_source;
   if (node.is_join) {
     out->method = node.method;
     out->join_type = node.join_type;
@@ -114,7 +113,6 @@ Result<std::unique_ptr<SkeletonNode>> ThawNode(const FrozenSkeletonNode& node,
   out->is_join = node.is_join;
   out->est_rows = node.est_rows;
   out->est_cost = node.est_cost;
-  out->card_source = node.card_source;
   if (node.is_join) {
     if (!node.left || !node.right) {
       return Status::Internal("thaw: join node missing children");
@@ -211,8 +209,7 @@ Result<std::unique_ptr<BlockSkeleton>> ThawSkeleton(
 }
 
 std::shared_ptr<const PlanCacheEntry> PlanCache::Lookup(
-    const std::string& key, uint64_t schema_version, uint64_t stats_version,
-    uint64_t feedback_version) {
+    const std::string& key, uint64_t schema_version, uint64_t stats_version) {
   uint64_t invalidated_fingerprint = 0;
   const char* invalidation_cause = nullptr;
   {
@@ -223,25 +220,17 @@ std::shared_ptr<const PlanCacheEntry> PlanCache::Lookup(
       return nullptr;
     }
     const PlanCacheEntry& entry = *it->second->second;
-    bool version_stale = entry.schema_version != schema_version ||
-                         entry.stats_version != stats_version;
-    bool drift_stale =
-        !version_stale && entry.feedback_version != feedback_version;
-    if (!version_stale && !drift_stale) {
+    bool schema_stale = entry.schema_version != schema_version;
+    if (!schema_stale && entry.stats_version == stats_version) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.hits;
       return it->second->second;
     }
     // Stale entry: compiled against an older catalog (DDL/ANALYZE happened
-    // since) or the fingerprint's feedback drift version moved past the
-    // q-error threshold (DESIGN.md section 11). Which stamp moved decides
-    // the digest plan-epoch cause.
-    invalidation_cause = drift_stale ? "drift"
-                         : entry.schema_version != schema_version
-                             ? "ddl"
-                             : "analyze";
+    // since). Which stamp moved decides the digest plan-epoch cause.
+    invalidation_cause = schema_stale ? "ddl" : "analyze";
     invalidated_fingerprint = entry.fingerprint;
-    ++(version_stale ? stats_.invalidations : stats_.drift_invalidations);
+    ++stats_.invalidations;
     ++stats_.misses;
     lru_.erase(it->second);
     index_.erase(it);

@@ -42,7 +42,6 @@ struct FrozenSkeletonNode {
 
   double est_rows = 0.0;
   double est_cost = 0.0;
-  CardSource card_source = CardSource::kHistogram;
 };
 
 struct FrozenBlockSkeleton {
@@ -86,10 +85,6 @@ struct PlanCacheStats {
   int64_t evictions = 0;
   /// Entries dropped on lookup because catalog schema/stats versions moved.
   int64_t invalidations = 0;
-  /// Entries dropped on lookup because the fingerprint's feedback drift
-  /// version moved (observed q-error exceeded the invalidation threshold
-  /// since this plan was compiled).
-  int64_t drift_invalidations = 0;
 };
 
 /// One cached compilation: the frozen skeleton plus routing metadata and
@@ -110,11 +105,6 @@ struct PlanCacheEntry {
 
   uint64_t schema_version = 0;
   uint64_t stats_version = 0;
-  /// Feedback drift version of the fingerprint at compile time (0 when
-  /// feedback is off or nothing was harvested yet). A later drift bump —
-  /// the estimate-drift invalidation of DESIGN.md section 11 — evicts
-  /// exactly this entry on its next lookup.
-  uint64_t feedback_version = 0;
 };
 
 /// LRU cache of frozen skeleton plans keyed by statement fingerprint (plus
@@ -142,8 +132,7 @@ class PlanCache {
   /// stays valid for the caller's lifetime even if concurrently evicted.
   std::shared_ptr<const PlanCacheEntry> Lookup(const std::string& key,
                                                uint64_t schema_version,
-                                               uint64_t stats_version,
-                                               uint64_t feedback_version = 0)
+                                               uint64_t stats_version)
       TAURUS_EXCLUDES(mu_);
 
   /// Inserts (or replaces) the entry for `key` as most-recently-used,
@@ -166,7 +155,6 @@ class PlanCache {
   /// Invalidation-hook causes, by which version stamp moved.
   ///   "ddl"     — catalog schema version (CREATE TABLE / CREATE INDEX)
   ///   "analyze" — catalog stats version (ANALYZE)
-  ///   "drift"   — the fingerprint's feedback drift version (section 11)
   using InvalidationHook =
       std::function<void(uint64_t fingerprint, const char* cause)>;
 

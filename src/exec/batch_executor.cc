@@ -111,21 +111,6 @@ class BatchHashJoinProbe : public BatchOp {
     } else {
       ClearSlots(frame, layout_.build_refs);
     }
-    // Probe-side Fast-AGMS stream: same gating and ownership rules as the
-    // Volcano HashJoinIter (serial pipelines only; this instance owns the
-    // stream). Updates are fed batch-at-a-time in PrepareInput — sketch
-    // folds are order-independent, so the stream digests to the same state
-    // as the row-interleaved path.
-    probe_sketch_ = nullptr;
-    if (ctx->sketches != nullptr && !ctx->is_worker_shard &&
-        shared_ == nullptr) {
-      const PhysOp& probe_child =
-          layout_.build_is_left ? *op_->right : *op_->child;
-      std::string stream = SketchStreamKey(probe_child, layout_.probe_keys);
-      if (!stream.empty()) {
-        probe_sketch_ = ctx->sketches->BeginStream(stream, this);
-      }
-    }
     TAURUS_RETURN_IF_ERROR(child_->Open(frame, ctx));
     out_.Reset(frame->size(), frame);
     for (int r : probe_refs_) out_.Activate(r);
@@ -165,9 +150,8 @@ class BatchHashJoinProbe : public BatchOp {
     out_.size = 0;
   }
 
-  /// Evaluates the key vectors, null map, bulk hashes (replicating
-  /// HashRow's combine exactly) and the probe-side sketch updates for the
-  /// freshly pulled input batch.
+  /// Evaluates the key vectors, null map and bulk hashes (replicating
+  /// HashRow's combine exactly) for the freshly pulled input batch.
   Status PrepareInput(ExecContext* ctx) {
     const size_t n = in_->sel.size();
     const size_t nk = layout_.probe_keys.size();
@@ -183,11 +167,6 @@ class BatchHashJoinProbe : public BatchOp {
       for (size_t i = 0; i < n; ++i) {
         if (col[i].is_null()) null_key_[i] = 1;
         hashes_[i] = HashCombine(hashes_[i], col[i].Hash());
-      }
-    }
-    if (probe_sketch_ != nullptr && nk > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (null_key_[i] == 0) probe_sketch_->Update(keys_[0][i].Hash());
       }
     }
     return Status::OK();
@@ -275,7 +254,6 @@ class BatchHashJoinProbe : public BatchOp {
   std::unique_ptr<FrameIter> build_iter_;   ///< serial form only
   const HashJoinShared* shared_ = nullptr;  ///< worker form only
   HashJoinShared own_state_;
-  AgmsSketch* probe_sketch_ = nullptr;
 
   Batch out_;
   int64_t cap_ = 1;

@@ -362,28 +362,6 @@ HashJoinLayout MakeHashJoinLayout(const PhysOp& op) {
   return layout;
 }
 
-/// The sketchable stream key of one hash-join side: the side must be a
-/// single leaf (scan / index range / derived scan) joined on exactly one
-/// plain column of that leaf, so the sketch describes "column C of the
-/// filtered leaf R" — the granularity the optimizer's join-size estimator
-/// looks up (DESIGN.md section 11). Returns "" when not sketchable.
-std::string SketchStreamKey(const PhysOp& side,
-                            const std::vector<const Expr*>& keys) {
-  if (keys.size() != 1) return "";
-  if (side.kind != PhysOp::Kind::kTableScan &&
-      side.kind != PhysOp::Kind::kIndexRange &&
-      side.kind != PhysOp::Kind::kDerivedScan) {
-    return "";
-  }
-  if (side.leaf == nullptr) return "";
-  const Expr* key = keys[0];
-  if (key->kind != Expr::Kind::kColumnRef ||
-      key->ref_id != side.leaf->ref_id) {
-    return "";
-  }
-  return SketchSet::StreamKey(key->ref_id, key->column_idx);
-}
-
 void HashJoinShared::BuildTable() {
   const size_t n = hashes.size();
   int bits = 1;  // at least two buckets keep the shift below 64
@@ -427,15 +405,6 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
     out->rows.reserve(cap * nr);
     out->hashes.reserve(cap);
   }
-  // Opportunistic Fast-AGMS stream over the build keys. The plan node is
-  // the stream owner, so a rebuild (re-Open inside a nested loop, or a
-  // parallel prebuild followed by a serial fallback) poisons the stream
-  // instead of double-counting its rows.
-  AgmsSketch* sketch = nullptr;
-  if (ctx->sketches != nullptr) {
-    std::string stream = SketchStreamKey(build_child, layout.build_keys);
-    if (!stream.empty()) sketch = ctx->sketches->BeginStream(stream, &op);
-  }
   TAURUS_RETURN_IF_ERROR(build->Open(frame, ctx));
   Row key(nk);
   while (true) {
@@ -448,7 +417,6 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
       if (key[k].is_null()) has_null = true;
     }
     if (has_null) continue;  // NULL keys never join
-    if (sketch != nullptr) sketch->Update(key[0].Hash());
     if (out->hashes.size() == HashJoinShared::kNoEntry) {
       return Status::ExecutionError("hash join build side too large");
     }
@@ -503,19 +471,6 @@ class HashJoinIter : public FrameIter {
     } else {
       ClearSlots(frame, layout_.build_refs);
     }
-    // Probe-side Fast-AGMS stream, serial pipelines only (worker shards
-    // would each replay the stream per morsel). The iterator instance is
-    // the owner: a re-Open replays probe rows, poisoning the stream.
-    probe_sketch_ = nullptr;
-    if (ctx->sketches != nullptr && !ctx->is_worker_shard &&
-        shared_ == nullptr) {
-      const PhysOp& probe_child =
-          layout_.build_is_left ? *op_->right : *op_->child;
-      std::string stream = SketchStreamKey(probe_child, layout_.probe_keys);
-      if (!stream.empty()) {
-        probe_sketch_ = ctx->sketches->BeginStream(stream, this);
-      }
-    }
     TAURUS_RETURN_IF_ERROR(probe_iter_->Open(frame, ctx));
     have_probe_ = false;
     return Status::OK();
@@ -541,7 +496,6 @@ class HashJoinIter : public FrameIter {
           if (key[k].is_null()) has_null = true;
         }
         if (!has_null) {
-          if (probe_sketch_ != nullptr) probe_sketch_->Update(key[0].Hash());
           state.FindMatches(
               HashRow(key), [&](size_t k) -> const Value& { return key[k]; },
               &candidates_);
@@ -585,7 +539,6 @@ class HashJoinIter : public FrameIter {
   std::unique_ptr<FrameIter> probe_iter_;
   const HashJoinShared* shared_ = nullptr;  ///< set for worker clones
   HashJoinShared own_state_;                ///< used by the serial form
-  AgmsSketch* probe_sketch_ = nullptr;      ///< claimed per Open, or null
 
   bool have_probe_ = false;
   bool matched_ = false;

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "exec/exec_profile.h"
 #include "exec/op_actuals.h"
-#include "feedback/agms_sketch.h"
 #include "exec/physical_plan.h"
 #include "storage/storage.h"
 
@@ -121,14 +120,6 @@ struct ExecContext {
   /// inject a FakeClock here for deterministic timings.
   const Clock* analyze_clock = nullptr;
 
-  // --- Cardinality feedback (see DESIGN.md section 11) ---
-
-  /// When non-null, hash joins opportunistically fold their build (and, in
-  /// serial pipelines, probe) key streams into Fast-AGMS sketches here.
-  /// Shared by worker shards: sketch updates are atomic, and stream
-  /// ownership is resolved under the set's own mutex.
-  SketchSet* sketches = nullptr;
-
   // --- Executor profiling (see DESIGN.md section 15) ---
 
   /// When non-null (root contexts only; armed by the engine when
@@ -190,7 +181,6 @@ struct ExecContext {
     shard->shared_budget_rows_ = budget_rows();
     shard->morsel_rows = morsel_rows;
     shard->is_worker_shard = true;
-    shard->sketches = sketches;
     shard->use_batch = use_batch;
     shard->batch_size = batch_size;
     if (op_actuals != nullptr) {

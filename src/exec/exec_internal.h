@@ -51,11 +51,6 @@ struct HashJoinLayout {
 /// item 2) the BUILD side is the LEFT child and the probe side the right.
 HashJoinLayout MakeHashJoinLayout(const PhysOp& op);
 
-/// The sketchable stream key of one hash-join side ("" when the side is
-/// not a single leaf joined on one plain column — see DESIGN.md §11).
-std::string SketchStreamKey(const PhysOp& side,
-                            const std::vector<const Expr*>& keys);
-
 /// The slots under `op` whose rows a buffering operator must deep-copy
 /// rather than borrow: the row-lifetime rule (DESIGN.md section 13),
 /// decided once per operator from the plan. Scans and index accesses bind

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "feedback/card_source.h"
 #include "parser/ast.h"
 
 namespace taurus {
@@ -69,9 +68,6 @@ struct PhysOp {
   // plan took the Orca detour — Section 4.2.2).
   double est_rows = 0.0;
   double est_cost = 0.0;
-  /// Where est_rows came from: histogram formulas, a Fast-AGMS sketch, or
-  /// harvested execution actuals (DESIGN.md section 11).
-  CardSource card_source = CardSource::kHistogram;
 
   /// True when this operator has a vectorized (batch-at-a-time)
   /// implementation: table scans, filters, hash-join probes of batchable
@@ -231,13 +227,6 @@ struct CompiledQuery {
   /// in EXPLAIN as "plan_verifier: N rules, M violations").
   int verifier_rules = 0;
   int verifier_violations = 0;
-
-  /// Cardinality-feedback override counts for this compilation: how many
-  /// memo cardinalities came from harvested actuals / Fast-AGMS sketches
-  /// instead of histogram formulas (0 when feedback is off or nothing was
-  /// harvested for this fingerprint yet).
-  int64_t feedback_actual_overrides = 0;
-  int64_t feedback_sketch_overrides = 0;
 };
 
 }  // namespace taurus

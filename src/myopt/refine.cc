@@ -500,7 +500,6 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
   auto op = std::make_unique<PhysOp>();
   op->est_rows = node->est_rows;
   op->est_cost = node->est_cost;
-  op->card_source = node->card_source;
   Attach& att = (*attach)[node];
 
   if (!node->is_join) {
@@ -681,7 +680,6 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
     filter->kind = PhysOp::Kind::kFilter;
     filter->est_rows = op->est_rows;
     filter->est_cost = op->est_cost;
-    filter->card_source = op->card_source;
     filter->conds.assign(att.above_node.begin(), att.above_node.end());
     filter->child = std::move(op);
     op = std::move(filter);

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "feedback/card_source.h"
 #include "parser/ast.h"
 
 namespace taurus {
@@ -41,8 +40,6 @@ struct SkeletonNode {
   // Optimizer estimates carried into EXPLAIN (Section 4.2.2).
   double est_rows = 0.0;
   double est_cost = 0.0;
-  /// Where est_rows came from (histogram / sketch / harvested actual).
-  CardSource card_source = CardSource::kHistogram;
 
   /// Pre-order leaves — MySQL's best-position array for this (sub)tree.
   void BestPositionArray(std::vector<const SkeletonNode*>* out) const {

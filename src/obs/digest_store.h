@@ -15,9 +15,9 @@
 
 namespace taurus {
 
-/// Statement-digest store knobs. Read live (like FeedbackConfig), so knob
-/// changes apply to the next recorded query; changing them must be
-/// quiesced relative to in-flight queries (the engine config contract).
+/// Statement-digest store knobs. Read live, so knob changes apply to the
+/// next recorded query; changing them must be quiesced relative to
+/// in-flight queries (the engine config contract).
 struct DigestStoreConfig {
   bool enable = true;
   /// Max distinct digests kept; least-recently-executed evicted beyond.
@@ -89,11 +89,10 @@ struct DigestSnapshot {
   LatencySummary orca_latency;
   LatencySummary mysql_latency;
   /// Plan-epoch split: `epoch` counts from 1 and increments whenever the
-  /// digest's cached skeleton changed (DDL / ANALYZE / feedback drift /
-  /// quarantine transition); `epoch_latency` covers executions since the
-  /// last bump, `prev_epoch_latency` the epoch before it — the two-sided
-  /// comparison that makes a feedback-loop plan regression visible from
-  /// SQL.
+  /// digest's cached skeleton changed (DDL / ANALYZE / quarantine
+  /// transition); `epoch_latency` covers executions since the last bump,
+  /// `prev_epoch_latency` the epoch before it — the two-sided comparison
+  /// that makes a plan regression visible from SQL.
   int64_t plan_epoch = 1;
   std::string epoch_cause;  ///< what bumped into the current epoch ("" = none)
   LatencySummary epoch_latency;

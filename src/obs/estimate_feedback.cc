@@ -1,8 +1,6 @@
 #include "obs/estimate_feedback.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace taurus {
@@ -11,96 +9,6 @@ double QError(double est_rows, double actual_rows) {
   double est = std::max(est_rows, 1.0);
   double act = std::max(actual_rows, 1.0);
   return std::max(est / act, act / est);
-}
-
-namespace {
-
-/// Mirrors the executor's driving-chain descent (block_executor
-/// DrivingChild): filters and NL joins descend into the left/outer child,
-/// hash joins into the probe side (build is LEFT for inner/cross — the
-/// MySQL quirk of Section 7 item 2 — RIGHT otherwise).
-const PhysOp* DrivingChildOf(const PhysOp& op) {
-  switch (op.kind) {
-    case PhysOp::Kind::kFilter:
-    case PhysOp::Kind::kNLJoin:
-      return op.child.get();
-    case PhysOp::Kind::kHashJoin: {
-      bool build_is_left = (op.join_type == JoinType::kInner ||
-                            op.join_type == JoinType::kCross);
-      return build_is_left ? op.right.get() : op.child.get();
-    }
-    default:
-      return nullptr;
-  }
-}
-
-/// Ref-set key of the leaves under `op`; false when any leaf cannot be
-/// identified by ref_id (the sample would be unkeyable).
-bool RefSetKeyOf(const PhysOp& op, std::string* key) {
-  std::vector<const PhysOp*> leaves;
-  op.CollectLeaves(&leaves);
-  std::vector<int> refs;
-  for (const PhysOp* leaf : leaves) {
-    if (leaf->leaf == nullptr || leaf->leaf->ref_id < 0) return false;
-    refs.push_back(leaf->leaf->ref_id);
-  }
-  if (refs.empty()) return false;
-  *key = RefSetKey(std::move(refs));
-  return true;
-}
-
-void WalkPlanForHarvest(const BlockPlan& plan, const OpActualsMap& actuals,
-                        FeedbackSample* sample);
-
-void WalkOpForHarvest(const PhysOp& op, const OpActualsMap& actuals,
-                      const std::unordered_set<const PhysOp*>& driving_chain,
-                      FeedbackSample* sample) {
-  const OpActual* a = actuals.Find(&op);
-  bool trusted = a != nullptr && a->loops > 0 &&
-                 (a->loops == 1 || driving_chain.count(&op) > 0) &&
-                 op.kind != PhysOp::Kind::kIndexLookup;
-  if (trusted) {
-    std::string key;
-    if (RefSetKeyOf(op, &key) &&
-        sample->node_actuals.find(key) == sample->node_actuals.end()) {
-      // Pre-order walk: the first (topmost) node with this ref-set wins.
-      sample->node_actuals[key] = static_cast<double>(a->rows);
-      sample->node_estimates[key] = op.est_rows;
-    }
-  }
-  if (op.child != nullptr) {
-    WalkOpForHarvest(*op.child, actuals, driving_chain, sample);
-  }
-  if (op.right != nullptr) {
-    WalkOpForHarvest(*op.right, actuals, driving_chain, sample);
-  }
-  if (op.kind == PhysOp::Kind::kDerivedScan && op.derived_plan != nullptr) {
-    WalkPlanForHarvest(*op.derived_plan, actuals, sample);
-  }
-}
-
-void WalkPlanForHarvest(const BlockPlan& plan, const OpActualsMap& actuals,
-                        FeedbackSample* sample) {
-  if (plan.join_root != nullptr) {
-    std::unordered_set<const PhysOp*> driving_chain;
-    if (plan.parallel_eligible) {
-      for (const PhysOp* op = plan.join_root.get(); op != nullptr;
-           op = DrivingChildOf(*op)) {
-        driving_chain.insert(op);
-      }
-    }
-    WalkOpForHarvest(*plan.join_root, actuals, driving_chain, sample);
-  }
-  for (const auto& arm : plan.union_arms) {
-    WalkPlanForHarvest(*arm, actuals, sample);
-  }
-}
-
-}  // namespace
-
-void HarvestFeedbackSample(const BlockPlan& plan, const OpActualsMap& actuals,
-                           FeedbackSample* sample) {
-  WalkPlanForHarvest(plan, actuals, sample);
 }
 
 std::vector<PositionQError> CollectPositionQErrors(

@@ -6,7 +6,6 @@
 
 #include "exec/op_actuals.h"
 #include "exec/physical_plan.h"
-#include "feedback/feedback_store.h"
 
 namespace taurus {
 
@@ -31,27 +30,6 @@ struct PositionQError {
 /// executed (e.g. behind a short-circuited join) are skipped.
 std::vector<PositionQError> CollectPositionQErrors(
     const BlockPlan& plan, const OpActualsMap& actuals);
-
-/// Harvests per-node actual cardinalities from one executed statement into
-/// a feedback sample, keyed by the ref-set under each node (RefSetKey) so
-/// the next optimization of the same fingerprint can look them up by memo
-/// set regardless of join order (DESIGN.md section 11).
-///
-/// A node's actual is trusted only when its total row count equals the
-/// serial cardinality of that subtree:
-///   - loops == 1 (opened exactly once), or
-///   - the node sits on the driving chain of a parallel-eligible plan,
-///     where per-shard actuals merge by summation and loops counts morsels
-///     — the summed rows are the serial total, identical for any worker
-///     count.
-/// kIndexLookup leaves are never harvested (their rows reflect one key
-/// binding, not the leaf's cardinality). Where several nodes share a
-/// ref-set (a residual Filter above its join), the topmost wins — its
-/// output matches the memo's pooled-conjunct Rows(set) semantics. Walks
-/// derived-table plans and UNION arms; estimates are recorded alongside so
-/// the store can compute q-errors.
-void HarvestFeedbackSample(const BlockPlan& plan, const OpActualsMap& actuals,
-                           FeedbackSample* sample);
 
 }  // namespace taurus
 

@@ -47,8 +47,6 @@ struct Unit {
   double rows = 1.0;             ///< after local conjuncts
   double base_rows = 1.0;        ///< before local conjuncts
   double access_cost = 0.0;      ///< best standalone access cost
-  /// Where `rows` came from (harvested actual when feedback overrode it).
-  CardSource card_source = CardSource::kHistogram;
   AccessMethod access = AccessMethod::kTableScan;
   int access_index = -1;
   /// IndexProbeCost of one lookup per index of a base leaf's table (0 for
@@ -81,20 +79,14 @@ class JoinSearch {
  public:
   JoinSearch(const OrcaConfig& config, StatsProvider* stats, int num_refs,
              int64_t* partitions, int* groups,
-             ResourceGovernor* governor = nullptr,
-             const FeedbackSnapshot* feedback = nullptr,
-             int64_t* actual_overrides = nullptr,
-             int64_t* sketch_overrides = nullptr)
+             ResourceGovernor* governor = nullptr)
       : config_(config),
         stats_(stats),
         num_refs_(num_refs),
         unit_of_ref_(static_cast<size_t>(num_refs), -1),
         partitions_(partitions),
         groups_(groups),
-        governor_(governor),
-        feedback_(feedback),
-        actual_overrides_(actual_overrides),
-        sketch_overrides_(sketch_overrides) {}
+        governor_(governor) {}
 
   Status Flatten(OrcaLogicalOp* root);
   Result<std::unique_ptr<OrcaPhysicalOp>> Run();
@@ -155,16 +147,6 @@ class JoinSearch {
   double CrossSelectivity(uint64_t a, uint64_t b) const;
   double Selectivity(const Conjunct& c) const;
   double Rows(uint64_t set);
-  /// Harvested actual output rows of this exact unit subset, or nullptr.
-  const double* ActualRows(uint64_t set) const;
-  /// Canonical feedback key for a unit subset: the sorted ref_ids of every
-  /// leaf it covers (composite units contribute all their Get leaves).
-  std::string SetKey(uint64_t set) const;
-  /// Fast-AGMS join-size estimate for a two-leaf inner-join set, or -1
-  /// when the set has no single-column equi-join with sketches on both
-  /// sides (DESIGN.md section 11).
-  double SketchJoinRows(uint64_t set) const;
-  CardSource SourceOf(uint64_t set) const;
   GroupState& GroupOf(uint64_t set);
   /// Plans `set` (once; later calls return the memoized group).
   Result<GroupState*> OptimizeSet(uint64_t set);
@@ -183,16 +165,6 @@ class JoinSearch {
   int64_t* partitions_;
   int* groups_;
   ResourceGovernor* governor_;
-  const FeedbackSnapshot* feedback_;
-  int64_t* actual_overrides_;
-  int64_t* sketch_overrides_;
-
-  /// Estimated output rows of a unit subset and where they came from.
-  /// Kept apart from memo_: estimating a set creates no memo group.
-  struct Card {
-    double rows = 1.0;
-    CardSource source = CardSource::kHistogram;
-  };
 
   std::vector<Unit> units_;
   std::vector<Conjunct> pool_;
@@ -206,7 +178,9 @@ class JoinSearch {
   std::vector<uint64_t> hyperedges_;
   std::vector<uint64_t> neighbors_;
   std::unordered_map<uint64_t, GroupState> memo_;
-  std::unordered_map<uint64_t, Card> cards_;
+  /// Estimated output rows per unit subset. Kept apart from memo_:
+  /// estimating a set creates no memo group.
+  std::unordered_map<uint64_t, double> cards_;
   int64_t budget_ = 0;
   bool budget_exhausted_ = false;
 };
@@ -303,16 +277,6 @@ Status JoinSearch::SetupUnit(Unit* unit) {
       sel *= stats_->ConjunctSelectivity(*c);
     }
     unit->rows = std::max(unit->base_rows * std::clamp(sel, 0.0, 1.0), 1.0);
-    // Harvested actual for this (filtered) leaf overrides the histogram
-    // estimate — the strongest source in the feedback precedence order.
-    if (feedback_ != nullptr) {
-      auto fb = feedback_->node_actuals.find(RefSetKey({unit->leaf->ref_id}));
-      if (fb != feedback_->node_actuals.end()) {
-        unit->rows = std::max(fb->second, 1.0);
-        unit->card_source = CardSource::kActual;
-        if (actual_overrides_ != nullptr) ++*actual_overrides_;
-      }
-    }
     // Access choice, cost-based unlike stock MySQL's heuristics.
     LeafAccess access = ChooseLeafAccess(
         *unit->leaf, unit->local_conds, unit->base_rows, *stats_,
@@ -334,8 +298,7 @@ Status JoinSearch::SetupUnit(Unit* unit) {
   }
   // Composite unit: optimize its subtree recursively with a fresh search,
   // folding in join-cond pieces that reference only this unit.
-  JoinSearch sub(config_, stats_, num_refs_, partitions_, groups_, governor_,
-                 feedback_, actual_overrides_, sketch_overrides_);
+  JoinSearch sub(config_, stats_, num_refs_, partitions_, groups_, governor_);
   TAURUS_RETURN_IF_ERROR(sub.Flatten(unit->op));
   // Restrict join_conds to subtree-only pieces and push them in. Outer-block
   // refs (not any unit) are fine; refs to sibling units of the parent
@@ -371,7 +334,6 @@ Status JoinSearch::SetupUnit(Unit* unit) {
   unit->rows = std::max(unit->composite_plan->rows, 1.0);
   unit->base_rows = unit->rows;
   unit->access_cost = unit->composite_plan->cost;
-  unit->card_source = unit->composite_plan->card_source;
   return Status::OK();
 }
 
@@ -556,94 +518,12 @@ double JoinSearch::CrossSelectivity(uint64_t a, uint64_t b) const {
   return std::clamp(sel, 0.0, 1.0);
 }
 
-std::string JoinSearch::SetKey(uint64_t set) const {
-  std::vector<int> refs;
-  for (size_t u = 0; u < units_.size(); ++u) {
-    if ((set & (1ULL << u)) == 0) continue;
-    if (units_[u].leaf != nullptr) {
-      refs.push_back(units_[u].leaf->ref_id);
-    } else {
-      std::vector<TableRef*> leaves;
-      CollectGetLeaves(units_[u].op, &leaves);
-      for (const TableRef* leaf : leaves) refs.push_back(leaf->ref_id);
-    }
-  }
-  return RefSetKey(std::move(refs));
-}
-
-double JoinSearch::SketchJoinRows(uint64_t set) const {
-  if (feedback_ == nullptr || feedback_->sketches.empty()) return -1.0;
-  if (std::popcount(set) != 2) return -1.0;
-  int ua = std::countr_zero(set);
-  int ub = std::countr_zero(set & (set - 1));
-  const Unit& a = units_[static_cast<size_t>(ua)];
-  const Unit& b = units_[static_cast<size_t>(ub)];
-  if (a.leaf == nullptr || b.leaf == nullptr) return -1.0;
-  if (a.join_type != JoinType::kInner || b.join_type != JoinType::kInner) {
-    return -1.0;
-  }
-  // The sketches describe single join-key columns, so the set must be
-  // joined by exactly one single-column equality (other non-equality
-  // conjuncts are applied by the caller as selectivities).
-  const Expr* eq = nullptr;
-  double other_sel = 1.0;
-  for (const Conjunct& c : pool_) {
-    if (c.units == 0 || (c.units & ~set) != 0) continue;
-    if (std::popcount(c.units) < 2) continue;
-    if (c.equality) {
-      if (eq != nullptr) return -1.0;  // multi-column join key
-      eq = c.expr;
-    } else {
-      other_sel *= stats_->ConjunctSelectivity(*c.expr);
-    }
-  }
-  if (eq == nullptr) return -1.0;
-  const Expr& l = *eq->children[0];
-  const Expr& r = *eq->children[1];
-  if (l.kind != Expr::Kind::kColumnRef || r.kind != Expr::Kind::kColumnRef) {
-    return -1.0;
-  }
-  auto find_sketch = [&](const Expr& col) -> const AgmsSketch* {
-    if (col.ref_id != a.leaf->ref_id && col.ref_id != b.leaf->ref_id) {
-      return nullptr;
-    }
-    auto it = feedback_->sketches.find(
-        SketchSet::StreamKey(col.ref_id, col.column_idx));
-    return it != feedback_->sketches.end() ? it->second.get() : nullptr;
-  };
-  const AgmsSketch* sl = find_sketch(l);
-  const AgmsSketch* sr = find_sketch(r);
-  if (sl == nullptr || sr == nullptr || sl == sr) return -1.0;
-  return std::max(sl->JoinSizeEstimate(*sr), 1.0) *
-         std::clamp(other_sel, 0.0, 1.0);
-}
-
-CardSource JoinSearch::SourceOf(uint64_t set) const {
-  auto it = cards_.find(set);
-  return it != cards_.end() ? it->second.source : CardSource::kHistogram;
-}
-
-const double* JoinSearch::ActualRows(uint64_t set) const {
-  if (feedback_ == nullptr) return nullptr;
-  auto it = feedback_->node_actuals.find(SetKey(set));
-  return it != feedback_->node_actuals.end() ? &it->second : nullptr;
-}
-
 double JoinSearch::Rows(uint64_t set) {
   auto it = cards_.find(set);
-  if (it != cards_.end()) return it->second.rows;
+  if (it != cards_.end()) return it->second;
   double rows;
-  CardSource source = CardSource::kHistogram;
   if (std::has_single_bit(set)) {
-    const Unit& u = units_[static_cast<size_t>(std::countr_zero(set))];
-    rows = u.rows;
-    source = u.card_source;
-  } else if (const double* actual = ActualRows(set)) {
-    // A prior execution measured this exact sub-join: its actual output
-    // cardinality beats any estimate.
-    rows = std::max(*actual, 1.0);
-    source = CardSource::kActual;
-    if (actual_overrides_ != nullptr) ++*actual_overrides_;
+    rows = units_[static_cast<size_t>(std::countr_zero(set))].rows;
   } else {
     // Canonical decomposition: peel the highest dependent unit whose
     // dependency is satisfied; otherwise all-inner product formula.
@@ -678,29 +558,19 @@ double JoinSearch::Rows(uint64_t set) {
           break;
       }
     } else {
-      // Second preference: a Fast-AGMS join-size estimate for a two-leaf
-      // equi-join whose key streams were sketched during a prior
-      // execution; histogram product formula otherwise.
-      double sketch_rows = SketchJoinRows(set);
-      if (sketch_rows >= 0.0) {
-        rows = sketch_rows;
-        source = CardSource::kSketch;
-        if (sketch_overrides_ != nullptr) ++*sketch_overrides_;
-      } else {
-        rows = 1.0;
-        for (uint64_t m = set; m != 0; m &= m - 1) {
-          rows *= units_[static_cast<size_t>(std::countr_zero(m))].rows;
-        }
-        for (const Conjunct& c : pool_) {
-          if (c.units == 0 || (c.units & ~set) != 0) continue;
-          if (std::popcount(c.units) < 2) continue;
-          rows *= Selectivity(c);
-        }
+      rows = 1.0;
+      for (uint64_t m = set; m != 0; m &= m - 1) {
+        rows *= units_[static_cast<size_t>(std::countr_zero(m))].rows;
+      }
+      for (const Conjunct& c : pool_) {
+        if (c.units == 0 || (c.units & ~set) != 0) continue;
+        if (std::popcount(c.units) < 2) continue;
+        rows *= Selectivity(c);
       }
     }
   }
   rows = std::max(rows, 1.0);
-  cards_.emplace(set, Card{rows, source});
+  cards_.emplace(set, rows);
   return rows;
 }
 
@@ -1006,7 +876,6 @@ std::unique_ptr<OrcaPhysicalOp> JoinSearch::BuildLeafPlan(int unit_idx,
   op->filters = u.local_conds;
   op->rows = u.rows;
   op->cost = u.access_cost;
-  op->card_source = u.card_source;
   if (as_lookup) {
     op->kind = OrcaPhysicalOp::Kind::kIndexLookup;
     op->index_id = lookup_index;
@@ -1033,7 +902,6 @@ std::unique_ptr<OrcaPhysicalOp> JoinSearch::Extract(uint64_t set) {
   op->join_type = g.join_type;
   op->rows = g.rows;
   op->cost = g.cost;
-  op->card_source = SourceOf(set);
   op->memo_group = g.id;
   op->conds = CrossConds(g.left, g.right);
   op->children.push_back(Extract(g.left));
@@ -1072,8 +940,7 @@ Result<std::unique_ptr<OrcaPhysicalOp>> JoinSearch::Run() {
 Result<std::unique_ptr<OrcaPhysicalOp>> OrcaOptimizer::Optimize(
     OrcaLogicalOp* root) {
   JoinSearch search(config_, stats_, num_refs_, &partitions_evaluated_,
-                    &num_groups_, governor_, feedback_, &actual_overrides_,
-                    &sketch_overrides_);
+                    &num_groups_, governor_);
   {
     ScopedSpan build_span(tracer_, "memo.build");
     TAURUS_RETURN_IF_ERROR(search.Flatten(root));

@@ -5,7 +5,6 @@
 
 #include "common/resource_budget.h"
 #include "common/result.h"
-#include "feedback/feedback_store.h"
 #include "myopt/cardinality.h"
 #include "obs/trace.h"
 #include "orca/logical.h"
@@ -26,20 +25,13 @@ class OrcaOptimizer {
   /// the wall-clock deadline); exceeding a limit aborts with
   /// kResourceExhausted so the caller can fall back. `tracer`, when
   /// non-null, records memo.build / memo.join_search sub-spans.
-  /// `feedback`, when non-null, is the harvested execution feedback for the
-  /// statement being optimized: actual cardinalities by ref-set key
-  /// override the memo's histogram estimates, and Fast-AGMS sketches serve
-  /// join-size estimates where no actual is known (precedence actual >
-  /// sketch > histogram, DESIGN.md section 11).
   OrcaOptimizer(const OrcaConfig& config, StatsProvider* stats, int num_refs,
-                ResourceGovernor* governor = nullptr, Tracer* tracer = nullptr,
-                const FeedbackSnapshot* feedback = nullptr)
+                ResourceGovernor* governor = nullptr, Tracer* tracer = nullptr)
       : config_(config),
         stats_(stats),
         num_refs_(num_refs),
         governor_(governor),
-        tracer_(tracer),
-        feedback_(feedback) {}
+        tracer_(tracer) {}
 
   /// Optimizes one block's logical tree into a physical tree.
   Result<std::unique_ptr<OrcaPhysicalOp>> Optimize(OrcaLogicalOp* root);
@@ -49,10 +41,6 @@ class OrcaOptimizer {
   int64_t partitions_evaluated() const { return partitions_evaluated_; }
   /// Number of memo groups created.
   int num_groups() const { return num_groups_; }
-  /// Cardinalities taken from harvested actuals / sketches during this
-  /// optimization (0 when no feedback snapshot was supplied).
-  int64_t actual_overrides() const { return actual_overrides_; }
-  int64_t sketch_overrides() const { return sketch_overrides_; }
 
  private:
   const OrcaConfig& config_;
@@ -60,11 +48,8 @@ class OrcaOptimizer {
   int num_refs_;
   ResourceGovernor* governor_;
   Tracer* tracer_;
-  const FeedbackSnapshot* feedback_;
   int64_t partitions_evaluated_ = 0;
   int num_groups_ = 0;
-  int64_t actual_overrides_ = 0;
-  int64_t sketch_overrides_ = 0;
 };
 
 }  // namespace taurus

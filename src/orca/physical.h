@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "feedback/card_source.h"
 #include "parser/ast.h"
 
 namespace taurus {
@@ -38,8 +37,6 @@ struct OrcaPhysicalOp {
 
   double rows = 0.0;
   double cost = 0.0;
-  /// Where `rows` came from (histogram / sketch / harvested actual).
-  CardSource card_source = CardSource::kHistogram;
   /// Memo group this operator was extracted from (the numbers shown after
   /// operator names in the paper's Fig. 6).
   int memo_group = -1;

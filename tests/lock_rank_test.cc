@@ -159,12 +159,12 @@ TEST_F(LockRankTest, SameRankNestingIsCaughtInEitherOrder) {
 }
 
 TEST_F(LockRankTest, SharedAcquisitionsRankLikeExclusive) {
-  SharedMutex store(LockRank::kFeedbackStore, "feedback.store");
+  SharedMutex relations(LockRank::kMdpRelationCache, "mdp.relation_cache");
   SharedMutex quarantine(LockRank::kQuarantine, "engine.quarantine");
-  store.lock_shared();
-  // Reader or writer makes no difference to ordering: rank 30 under 40.
+  relations.lock_shared();
+  // Reader or writer makes no difference to ordering: rank 30 under 50.
   EXPECT_THROW(quarantine.lock_shared(), LockRankError);
-  store.unlock_shared();
+  relations.unlock_shared();
   ASSERT_EQ(g_captured.size(), 1u);
   EXPECT_STREQ(g_captured[0].rule, "LR1");
 }
@@ -198,7 +198,7 @@ TEST_F(LockRankTest, DisabledRegistryChecksNothing) {
 }
 
 /// The clean bill: every TPC-H and TPC-DS query through both optimizer
-/// paths — serial and with the parallel executor + feedback loop engaged,
+/// paths — serial and with the parallel executor and tracing engaged,
 /// plus a concurrent multi-session burst through Server/admission — with
 /// the registry armed. Zero violations proves the shipped lock orderings
 /// match the DESIGN.md section 12 rank table end to end.
@@ -211,12 +211,12 @@ TEST_F(LockRankTest, TpchTpcdsBothPathSweepIsViolationFree) {
     auto st = workload == 0 ? SetupTpch(&db, 0.001) : SetupTpcds(&db, 0.0001);
     ASSERT_TRUE(st.ok()) << st.ToString();
     // Engage every concurrent subsystem: Orca detours, the parallel
-    // executor's worker pool, the feedback store + sketches, tracing.
+    // executor's worker pool, tracing.
     db.router_config().complex_query_threshold = 1;
     db.exec_config().parallel_workers = 2;
     db.exec_config().parallel_min_driver_rows = 64;
     db.exec_config().morsel_rows = 64;
-    db.feedback_config().enable = true;
+    db.trace_config().enable = true;
     const std::vector<std::string>& queries =
         workload == 0 ? TpchQueries() : TpcdsQueries();
 

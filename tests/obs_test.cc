@@ -497,9 +497,8 @@ TEST_F(ObsEngineTest, MetricsJsonCoversTheFullTaurusInventory) {
            "taurus.query.count", "taurus.query.errors",
            "taurus.query.execute_ms", "taurus.query.optimize_ms",
            // plan cache
-           "taurus.plan_cache.capacity",
-           "taurus.plan_cache.drift_invalidations",
-           "taurus.plan_cache.entries", "taurus.plan_cache.evictions",
+           "taurus.plan_cache.capacity", "taurus.plan_cache.entries",
+           "taurus.plan_cache.evictions",
            "taurus.plan_cache.hits", "taurus.plan_cache.insertions",
            "taurus.plan_cache.invalidations", "taurus.plan_cache.misses",
            // quarantine + verifiers
@@ -517,12 +516,6 @@ TEST_F(ObsEngineTest, MetricsJsonCoversTheFullTaurusInventory) {
            "taurus.exec.profile.last_idle_ms",
            "taurus.exec.profile.last_workers", "taurus.exec.profile.morsels",
            "taurus.exec.profile.pipelines",
-           // feedback loop
-           "taurus.feedback.actual_overrides", "taurus.feedback.drift_bumps",
-           "taurus.feedback.entries", "taurus.feedback.harvests",
-           "taurus.feedback.lru_evictions",
-           "taurus.feedback.sketch_overrides",
-           "taurus.feedback.version_resets",
            // workload introspection
            "taurus.obs.digest.capacity", "taurus.obs.digest.entries",
            "taurus.obs.digest.epoch_bumps", "taurus.obs.digest.lru_evictions",

@@ -281,7 +281,7 @@ TEST(PlanCacheUnitTest, InsertAppliesAGivenCapacityFirst) {
 
 /// Eight threads each run rounds over a key space four times the capacity:
 /// insert a key, look it up fresh, then on one round in four look it up
-/// with a moved stats version and on another with a moved drift version,
+/// with a moved stats version and on another with a moved schema version,
 /// and look up one more key fresh. Each thread alone produces hits,
 /// evictions and both kinds of invalidation, so the nonzero checks below
 /// do not depend on threads overlapping. Once the threads join, every
@@ -312,7 +312,7 @@ TEST(PlanCacheUnitTest, ConcurrentLookupsAndInsertsKeepTheBooksBalanced) {
           cache.Lookup(key, 1, 2);  // stats version moved
           ++mine;
         } else if (round % 4 == 2) {
-          cache.Lookup(key, 1, 1, 7);  // feedback drift version moved
+          cache.Lookup(key, 2, 1);  // schema version moved
           ++mine;
         }
         cache.Lookup(key_of(k + kKeys / 2), 1, 1);
@@ -325,15 +325,13 @@ TEST(PlanCacheUnitTest, ConcurrentLookupsAndInsertsKeepTheBooksBalanced) {
 
   const PlanCacheStats s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, lookups.load());
-  EXPECT_EQ(s.insertions - s.evictions - s.invalidations -
-                s.drift_invalidations,
+  EXPECT_EQ(s.insertions - s.evictions - s.invalidations,
             static_cast<int64_t>(cache.size()));
   EXPECT_LE(cache.size(), kCapacity);
   EXPECT_GT(s.hits, 0);
   EXPECT_GT(s.evictions, 0);
   EXPECT_GT(s.invalidations, 0);
-  EXPECT_GT(s.drift_invalidations, 0);
-  EXPECT_EQ(hook_calls.load(), s.invalidations + s.drift_invalidations);
+  EXPECT_EQ(hook_calls.load(), s.invalidations);
 }
 
 /// Cached compiles must agree with cold compiles on real TPC-H shapes, on

@@ -4,11 +4,11 @@
 // with pinned post-mortem traces), executor profiling, and the SQL surfaces
 // that expose them — SHOW DIGESTS / SHOW FLIGHT RECORDER / SHOW PROFILE FOR.
 //
-// The engine-level scenarios deliberately reuse the feedback_test skew
-// schema: fact.f_k is heavily skewed (600 rows of k=1 plus 600 distinct
-// values) against dim's 80 rows of k=1, so the histogram join estimate is
-// ~160 rows while the true output is 48000 — the drift invalidation that
-// bumps a digest's plan epoch is provoked, not mocked.
+// The engine-level scenarios run over a skew schema: fact.f_k is heavily
+// skewed (600 rows of k=1 plus 600 distinct values) against dim's 80 rows
+// of k=1, so the join returns 48000 rows. The ANALYZE invalidation and the
+// quarantine transition that bump a digest's plan epoch are provoked
+// through the engine, not mocked.
 
 #include <gtest/gtest.h>
 
@@ -116,10 +116,10 @@ TEST(DigestStoreTest, LruEvictsLeastRecentlyExecutedNeverTheNewcomer) {
 }
 
 TEST(DigestStoreTest, FakeClockEpochSplitExposesPlanRegression) {
-  // The feedback-loop regression scenario with deterministic latencies: the
-  // fake clock stamps each execution's wall time, the epoch bump replays
-  // what a drift invalidation does, and the snapshot must show the exact
-  // pre/post split a DBA would read off SHOW DIGESTS.
+  // A plan regression with deterministic latencies: the fake clock stamps
+  // each execution's wall time, the epoch bump replays what an ANALYZE
+  // invalidation does, and the snapshot must show the exact pre/post split
+  // a DBA would read off SHOW DIGESTS.
   FakeClock clock(100.0);
   auto timed = [&clock](double ms) {
     double t0 = clock.NowMs();
@@ -135,7 +135,7 @@ TEST(DigestStoreTest, FakeClockEpochSplitExposesPlanRegression) {
   store.Record(MakeSample(42, &stmt, timed(5.0), true));
   store.Record(MakeSample(42, &stmt, timed(7.0), true));
 
-  EXPECT_TRUE(store.BumpEpoch(42, "drift"));
+  EXPECT_TRUE(store.BumpEpoch(42, "analyze"));
   // Collapse rule: a second hook firing before the next execution is the
   // same visible plan change, not a new epoch — but the cause updates,
   // since queries in this epoch will run under the latest skeleton.
@@ -271,8 +271,8 @@ TEST(FlightRecorderTest, DisabledRecorderAssignsNoSeq) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: the skew schema from feedback_test, so drift and
-// quarantine epoch bumps are provoked by the real control loops.
+// Engine integration: ANALYZE and quarantine epoch bumps are provoked by
+// the real control loops.
 // ---------------------------------------------------------------------------
 
 class IntrospectionTest : public ::testing::Test {
@@ -374,28 +374,28 @@ TEST_F(IntrospectionTest, ShowDigestsAggregatesAndFiltersLikeAPattern) {
             db_.metrics().GetCounter("taurus.query.count")->Value());
 }
 
-TEST_F(IntrospectionTest, FeedbackDriftBumpsPlanEpochWithVisibleSplit) {
-  db_.feedback_config().enable = true;
-
-  // Run 1 compiles from the (provably wrong) histograms and harvests
-  // actuals; the q-error bumps the fingerprint's drift version.
+TEST_F(IntrospectionTest, AnalyzeBumpsPlanEpochWithVisibleSplit) {
+  // Run 1 compiles and caches the skeleton.
   auto run1 = db_.Query(kSkewSql, OptimizerPath::kOrca);
   ASSERT_TRUE(run1.ok()) << run1.status().ToString();
-  ASSERT_TRUE(run1->feedback_version_bumped);
+  EXPECT_FALSE(run1->plan_cache_hit);
   EXPECT_EQ(DigestWithCalls(1).plan_epoch, 1);
 
-  // Run 2's cache lookup sees the drift-stale skeleton, invalidates it and
-  // fires the hook — the digest's epoch advances with cause "drift" before
-  // run 2's own sample lands in the fresh epoch.
+  // ANALYZE moves the catalog stats version. Run 2's cache lookup sees the
+  // stale skeleton, invalidates it and fires the hook — the digest's epoch
+  // advances with cause "analyze" before run 2's own sample lands in the
+  // fresh epoch.
+  ASSERT_TRUE(db_.ExecuteSql("ANALYZE TABLE fact").ok());
   auto run2 = db_.Query(kSkewSql, OptimizerPath::kOrca);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
-  EXPECT_EQ(db_.plan_cache().stats().drift_invalidations, 1);
+  EXPECT_FALSE(run2->plan_cache_hit);
+  EXPECT_EQ(db_.plan_cache().stats().invalidations, 1);
 
   const DigestSnapshot d = DigestWithCalls(2);
   EXPECT_EQ(d.plan_epoch, 2);
-  EXPECT_EQ(d.epoch_cause, "drift");
+  EXPECT_EQ(d.epoch_cause, "analyze");
   EXPECT_EQ(d.prev_epoch_latency.count, 1);  // run 1, the old plan
-  EXPECT_EQ(d.epoch_latency.count, 1);       // run 2, the re-optimized plan
+  EXPECT_EQ(d.epoch_latency.count, 1);       // run 2, the recompiled plan
   EXPECT_DOUBLE_EQ(d.prev_epoch_latency.sum_ms + d.epoch_latency.sum_ms,
                    d.latency_sum_ms);
 
@@ -407,7 +407,7 @@ TEST_F(IntrospectionTest, FeedbackDriftBumpsPlanEpochWithVisibleSplit) {
     if (row[2].AsInt() != 2) continue;
     saw = true;
     EXPECT_EQ(row[15].AsInt(), 2);             // PlanEpoch
-    EXPECT_EQ(row[16].AsString(), "drift");    // EpochCause
+    EXPECT_EQ(row[16].AsString(), "analyze");  // EpochCause
     EXPECT_EQ(row[17].AsInt(), 1);             // EpochCalls
     EXPECT_EQ(row[19].AsInt(), 1);             // PrevEpochCalls
   }
