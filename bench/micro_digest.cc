@@ -122,14 +122,14 @@ int main(int argc, char** argv) {
   // Raw fold cost, isolated from the query around it.
   taurus::DigestStoreConfig cfg;
   taurus::DigestStore store(cfg);
-  taurus::DigestSample sample;
-  sample.fingerprint = 0x5eedf00d;
-  sample.canonical = &sql;
-  sample.latency_ms = 0.05;
-  sample.used_orca = false;
+  taurus::QueryEvent event;
+  event.fingerprint = 0x5eedf00d;
+  event.canonical = sql;
   constexpr int kRecords = 200000;
   auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kRecords; ++i) store.Record(sample);
+  for (int i = 0; i < kRecords; ++i) {
+    store.Record(event, /*error=*/false, /*latency_ms=*/0.05);
+  }
   double record_ns = std::chrono::duration<double, std::nano>(
                          std::chrono::steady_clock::now() - t0)
                          .count() /

@@ -66,11 +66,12 @@ void BM_CacheHitCompile(benchmark::State& state) {
   double saved_ms = 0.0;
   int64_t iters = 0;
   for (auto _ : state) {
-    auto c = db->Compile(sql, path);
+    QueryEvent event;
+    auto c = db->Compile(sql, path, &event);
     benchmark::DoNotOptimize(c);
     if (c.ok()) {
-      if (!(*c)->plan_cache_hit) std::abort();  // bench must measure hits
-      saved_ms += (*c)->optimize_saved_ms;
+      if (!event.plan_cache_hit) std::abort();  // bench must measure hits
+      saved_ms += event.optimize_saved_ms;
       ++iters;
     }
   }
@@ -126,9 +127,10 @@ void BM_OptimizeSpeedup(benchmark::State& state) {
     if (!db->Compile(sql, path).ok()) std::abort();  // populate entry
     auto t3 = Clock::now();
     for (int i = 0; i < kReps; ++i) {
-      auto c = db->Compile(sql, path);
+      QueryEvent event;
+      auto c = db->Compile(sql, path, &event);
       benchmark::DoNotOptimize(c);
-      if (!c.ok() || !(*c)->plan_cache_hit) std::abort();
+      if (!c.ok() || !event.plan_cache_hit) std::abort();
     }
     auto t4 = Clock::now();
     frontend_ms += ms(t0, t1) / kReps;

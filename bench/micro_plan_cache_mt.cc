@@ -104,8 +104,10 @@ int main(int argc, char** argv) {
     }
   }
   {
-    auto c = db.Compile(TpchQ(kShapes[0]), taurus::OptimizerPath::kAuto);
-    if (!c.ok() || !(*c)->plan_cache_hit) {
+    taurus::QueryEvent event;
+    auto c = db.Compile(TpchQ(kShapes[0]), taurus::OptimizerPath::kAuto,
+                        &event);
+    if (!c.ok() || !event.plan_cache_hit) {
       std::fprintf(stderr, "warm cache did not produce a hit\n");
       return 1;
     }
@@ -126,8 +128,9 @@ int main(int argc, char** argv) {
   for (int threads : {1, 4, 16}) {
     double qps = MeasureLeg(threads, duration_ms, [&](int t, long long i) {
       const int q = kShapes[(t + i) % kNumShapes];
-      auto c = db.Compile(TpchQ(q), taurus::OptimizerPath::kAuto);
-      if (!c.ok() || !(*c)->plan_cache_hit) std::abort();
+      taurus::QueryEvent event;
+      auto c = db.Compile(TpchQ(q), taurus::OptimizerPath::kAuto, &event);
+      if (!c.ok() || !event.plan_cache_hit) std::abort();
       return 1;
     });
     if (threads == 1) hit_t1 = qps;

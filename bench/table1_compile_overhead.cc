@@ -44,19 +44,21 @@ SuiteTotals CompileSuite(taurus::Database* db,
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     int q = static_cast<int>(i) + 1;
-    auto mysql = db->Compile(queries[i], taurus::OptimizerPath::kMySql);
-    if (mysql.ok()) totals.mysql += (*mysql)->optimize_ms;
+    taurus::QueryEvent mysql;
+    if (db->Compile(queries[i], taurus::OptimizerPath::kMySql, &mysql).ok()) {
+      totals.mysql += mysql.optimize_ms;
+    }
     db->orca_config().strategy = taurus::JoinSearchStrategy::kExhaustive;
-    auto ex = db->Compile(queries[i], taurus::OptimizerPath::kAuto);
-    if (ex.ok()) {
-      totals.exhaustive += (*ex)->optimize_ms;
-      totals.ex_per_query[q] = (*ex)->optimize_ms;
+    taurus::QueryEvent ex;
+    if (db->Compile(queries[i], taurus::OptimizerPath::kAuto, &ex).ok()) {
+      totals.exhaustive += ex.optimize_ms;
+      totals.ex_per_query[q] = ex.optimize_ms;
     }
     db->orca_config().strategy = taurus::JoinSearchStrategy::kExhaustive2;
-    auto ex2 = db->Compile(queries[i], taurus::OptimizerPath::kAuto);
-    if (ex2.ok()) {
-      totals.exhaustive2 += (*ex2)->optimize_ms;
-      totals.ex2_per_query[q] = (*ex2)->optimize_ms;
+    taurus::QueryEvent ex2;
+    if (db->Compile(queries[i], taurus::OptimizerPath::kAuto, &ex2).ok()) {
+      totals.exhaustive2 += ex2.optimize_ms;
+      totals.ex2_per_query[q] = ex2.optimize_ms;
     }
   }
   return totals;

@@ -13,8 +13,8 @@
 // --metrics-only prints only the MetricsJson() document, --explain-json
 // only the ExplainAnalyzeJson document, --digests-json the DigestsJson()
 // statement-digest table and --recorder-json the FlightRecorderJson()
-// recent-query ring (all machine-readable; scripts/check.sh pipes each
-// through scripts/validate_obs_json.py).
+// recent-query ring (all machine-readable; the obs_json_* ctest entries
+// pipe each through scripts/validate_obs_json.py).
 
 #include <cstdio>
 #include <cstring>
@@ -81,10 +81,12 @@ int main(int argc, char** argv) {
   if (!analyze.ok()) Fail(analyze.status(), "explain analyze");
 
   if (!metrics_only) {
+    // Each query carries its own trace on the result.
+    auto traced = db.Query(q8, taurus::OptimizerPath::kOrca);
+    if (!traced.ok()) Fail(traced.status(), "traced query");
     std::printf("=== pipeline trace (Q8, Orca route) ===\n%s\n",
-                db.last_trace() != nullptr
-                    ? db.last_trace()->Render().c_str()
-                    : "(no trace)");
+                traced->trace != nullptr ? traced->trace->Render().c_str()
+                                         : "(no trace)");
     std::printf("=== EXPLAIN ANALYZE (Q8, Orca route) ===\n%s\n",
                 analyze->c_str());
 

@@ -114,24 +114,8 @@ echo "check.sh: leg 1/2 — RelWithDebInfo, warnings as errors"
 cmake -B "$build_dir" -S "$repo_root" -DTAURUS_WERROR=ON
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-
-# Observability smoke: dump the metrics registry, one EXPLAIN ANALYZE, the
-# statement-digest table and the flight recorder as JSON and validate each
-# against the section-10/15 schemas. Needs python3 for the validation;
-# without it the step is announced and skipped.
-echo "check.sh: observability JSON (metrics, EXPLAIN ANALYZE, digests, recorder)"
-if command -v python3 >/dev/null 2>&1; then
-  "$build_dir/examples/obs_dump" --metrics-only \
-    | python3 "$repo_root/scripts/validate_obs_json.py" metrics
-  "$build_dir/examples/obs_dump" --explain-json \
-    | python3 "$repo_root/scripts/validate_obs_json.py" explain
-  "$build_dir/examples/obs_dump" --digests-json \
-    | python3 "$repo_root/scripts/validate_obs_json.py" digests
-  "$build_dir/examples/obs_dump" --recorder-json \
-    | python3 "$repo_root/scripts/validate_obs_json.py" recorder
-else
-  echo "check.sh: python3 not found; skipping observability JSON validation." >&2
-fi
+# ctest includes the observability JSON checks (obs_json_*: obs_dump piped
+# through scripts/validate_obs_json.py).
 
 # Bench legs below run from the repo root so the BENCH_*.json artifacts
 # land where the CI trajectory collector looks for them (not inside the

@@ -7,7 +7,8 @@ Usage:
   validate_obs_json.py digests  < DigestsJson() output
   validate_obs_json.py recorder < FlightRecorderJson() output
 
-Exits nonzero with a message on the first schema violation. check.sh pipes
+Exits nonzero with a message on the first schema violation. The ctest
+entries obs_json_{metrics,explain,digests,recorder} pipe
 `obs_dump --metrics-only|--explain-json|--digests-json|--recorder-json`
 through this; every document must parse as JSON and carry the keys the
 dashboards consume.
@@ -61,7 +62,6 @@ REQUIRED_METRICS += [
     "taurus.obs.recorder.entries",
     "taurus.obs.recorder.pinned",
     "taurus.obs.recorder.capacity",
-    "taurus.exec.profile.enabled",
 ]
 
 LATENCY_SUMMARY_KEYS = {"count", "sum_ms", "mean_ms", "max_ms"}
@@ -189,7 +189,7 @@ def validate_recorder(doc):
                     "admission", "wait_ms", "used_orca", "fell_back", "shed",
                     "quarantine_hit", "plan_cache_hit", "optimize_ms",
                     "execute_ms", "total_ms", "rows", "workers", "batches",
-                    "profiled", "morsels", "busy_ms", "pinned_trace"):
+                    "morsels", "busy_ms", "pinned_trace"):
             if key not in e:
                 fail("%s missing %r" % (path, key))
         if e["seq"] <= prev_seq:

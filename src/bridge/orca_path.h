@@ -12,21 +12,12 @@
 #include "mdp/provider.h"
 #include "mdp/stats_adapter.h"
 #include "myopt/skeleton.h"
+#include "obs/query_event.h"
 #include "obs/trace.h"
 #include "orca/orca.h"
 #include "verify/diagnostics.h"
 
 namespace taurus {
-
-/// Metrics from one Orca-path optimization, used by the Table 1 bench.
-struct OrcaPathMetrics {
-  int64_t partitions_evaluated = 0;
-  int memo_groups = 0;
-  int64_t mdp_dxl_requests = 0;
-  int64_t mdp_cache_hits = 0;
-  int cte_producers_reused = 0;
-  int subqueries_decorrelated = 0;
-};
 
 /// Drives the Orca detour for a whole statement: for every query block
 /// (derived tables and expression subqueries bottom-up), run the parse

@@ -44,7 +44,6 @@ enum class LockRank : int {
   kThreadPool = 70,        // ThreadPool::mu_                "common.thread_pool"
 
   // Leaf band: only trivial, lock-free work happens under these.
-  kDatabaseState = 100,    // Database::state_mu_            "engine.state"
   kMetricsRegistry = 110,  // MetricsRegistry::mu_           "obs.metrics_registry"
   kFaultInjector = 130,    // FaultInjector::Impl::mu        "common.fault_injector"
   kDigestStore = 140,      // DigestStore::mu_               "obs.digest_store"

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "bridge/decorrelate.h"
 #include "bridge/parse_tree_converter.h"
@@ -251,10 +252,10 @@ Status Database::AnalyzeAll() {
 }
 
 Result<std::unique_ptr<CompiledQuery>> Database::Compile(
-    const std::string& sql, OptimizerPath path) {
-  std::shared_ptr<Tracer> tracer = BeginTrace(QueryOptions{});
-  ScopedSpan compile_span(tracer.get(), "compile");
-  return CompileInternal(sql, path, plan_cache_config_.enable, tracer.get());
+    const std::string& sql, OptimizerPath path, QueryEvent* event) {
+  QueryEvent discarded;
+  return CompileInternal(sql, path, plan_cache_config_.enable, nullptr,
+                         event != nullptr ? event : &discarded);
 }
 
 void Database::BindCounters() {
@@ -299,26 +300,6 @@ void Database::BindCounters() {
   counters_.execute_ms = metrics_.GetHistogram("taurus.query.execute_ms");
 }
 
-OptimizerHealth Database::optimizer_health() const {
-  OptimizerHealth h;
-  h.detours_attempted = counters_.detours_attempted->Value();
-  h.detours_failed = counters_.detours_failed->Value();
-  h.fallbacks = counters_.fallbacks->Value();
-  h.budget_kills = counters_.budget_kills->Value();
-  h.exec_budget_kills = counters_.exec_budget_kills->Value();
-  h.quarantine_hits = counters_.quarantine_hits->Value();
-  return h;
-}
-
-void Database::ResetOptimizerHealth() {
-  counters_.detours_attempted->Reset();
-  counters_.detours_failed->Reset();
-  counters_.fallbacks->Reset();
-  counters_.budget_kills->Reset();
-  counters_.exec_budget_kills->Reset();
-  counters_.quarantine_hits->Reset();
-}
-
 void Database::SyncGaugeMetrics() {
   const PlanCacheStats s = plan_cache_.stats();
   metrics_.GetGauge("taurus.plan_cache.insertions")
@@ -352,8 +333,6 @@ void Database::SyncGaugeMetrics() {
       ->Set(static_cast<double>(flight_recorder_.pinned()));
   metrics_.GetGauge("taurus.obs.recorder.capacity")
       ->Set(static_cast<double>(flight_config_.capacity));
-  metrics_.GetGauge("taurus.exec.profile.enabled")
-      ->Set(exec_config_.enable_profiling ? 1.0 : 0.0);
   // Lock-rank analyzer (DESIGN.md section 14). Process-wide, not per-DB:
   // the held-lock stacks are per-thread and every instrumented mutex in
   // the process feeds the same counters.
@@ -384,21 +363,11 @@ Result<QueryResult> Database::ShowStatus(const std::string& pattern) {
   return out;
 }
 
-std::shared_ptr<Tracer> Database::BeginTrace(const QueryOptions& options) {
-  std::shared_ptr<Tracer> tracer;
-  if (trace_config_.enable || options.trace) {
-    const Clock* clock = trace_config_.clock != nullptr
-                             ? trace_config_.clock
-                             : &SteadyClock::Instance();
-    tracer = std::make_shared<Tracer>(clock);
-    if (options.trace_slot != nullptr) *options.trace_slot = tracer;
-  }
-  // Publish as the "most recent" trace — or clear it when tracing is off,
-  // preserving the single-session contract that last_trace() is null after
-  // an untraced query.
-  MutexLock lock(&state_mu_);
-  last_tracer_ = tracer;
-  return tracer;
+std::shared_ptr<Tracer> Database::NewTracer(bool trace) const {
+  if (!trace_config_.enable && !trace) return nullptr;
+  return std::make_shared<Tracer>(trace_config_.clock != nullptr
+                                      ? trace_config_.clock
+                                      : &SteadyClock::Instance());
 }
 
 std::string Database::MakeCacheKey(const std::string& canonical,
@@ -448,7 +417,8 @@ void Database::RecordDetourFailure(uint64_t fingerprint_hash) {
 }
 
 Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
-    const PlanCacheEntry& entry, BoundStatement stmt, Tracer* tracer) {
+    const PlanCacheEntry& entry, BoundStatement stmt, Tracer* tracer,
+    QueryEvent* event) {
   // Replay the route's deterministic pre-optimization AST rewrites: the
   // cached skeleton was built against the rewritten statement, and the
   // rewritten predicates must reach refinement/execution exactly as on the
@@ -487,7 +457,6 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
   TAURUS_ASSIGN_OR_RETURN(auto compiled,
                           RefinePlan(std::move(stmt), *skeleton, catalog_));
   refine_span.End();
-  compiled->used_orca = entry.used_orca;
   if (verify_config_.verify_plans) {
     ScopedSpan verify_span(tracer, "verify.block");
     VerifyBlockPlan(*compiled, &report);
@@ -495,19 +464,17 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
       return report.ToStatus("verify.block");
     }
   }
-  compiled->verifier_rules = report.rules_checked;
-  compiled->verifier_violations = report.violations();
+  event->used_orca = entry.used_orca;
+  event->verifier_rules += report.rules_checked;
+  event->verifier_violations += report.violations();
   return compiled;
 }
 
 Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     const std::string& sql, OptimizerPath path, bool use_cache,
-    Tracer* tracer) {
+    Tracer* tracer, QueryEvent* event) {
   auto start = std::chrono::steady_clock::now();
-  // Tracked locally (cross-session safe) and mirrored into the "most
-  // recent" member view for single-session callers.
-  bool fell_back = false;
-  SetLastFellBack(false);
+  event->plan_cache_hit = false;
 
   ScopedSpan parse_span(tracer, "parse");
   TAURUS_ASSIGN_OR_RETURN(auto parsed, ParseSelect(sql));
@@ -520,21 +487,18 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
   TAURUS_RETURN_IF_ERROR(PrepareStatement(&stmt, prepare_options_));
   prepare_span.End();
 
-  // The normalized statement fingerprint keys both the plan cache and the
-  // quarantine map.
-  uint64_t fingerprint = 0;
-  std::string canonical;
-  bool quarantined = false;
-  if (use_cache || quarantine_config_.enable || digest_config_.enable) {
-    ScopedSpan fp_span(tracer, "fingerprint");
-    StatementFingerprint fp = FingerprintStatement(stmt);
-    fingerprint = fp.hash;
-    canonical = std::move(fp.canonical);
-    quarantined = path == OptimizerPath::kAuto && quarantine_config_.enable &&
-                  IsQuarantined(fingerprint);
-    fp_span.Attr("fingerprint", std::to_string(fingerprint));
-    if (quarantined) fp_span.Attr("quarantined", "true");
-  }
+  // The normalized statement fingerprint keys the plan cache, the
+  // quarantine map and the digest store.
+  ScopedSpan fp_span(tracer, "fingerprint");
+  StatementFingerprint fp = FingerprintStatement(stmt);
+  const uint64_t fingerprint = fp.hash;
+  event->fingerprint = fingerprint;
+  event->canonical = std::move(fp.canonical);
+  const bool quarantined =
+      path == OptimizerPath::kAuto && IsQuarantined(fingerprint);
+  fp_span.Attr("fingerprint", std::to_string(fingerprint));
+  if (quarantined) fp_span.Attr("quarantined", "true");
+  fp_span.End();
 
   // Skeleton-plan cache: looked up strictly before the router, so a hit
   // skips routing and both optimizers. A quarantined statement refuses a
@@ -542,7 +506,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
   // key as a MySQL-path plan.
   std::string cache_key;
   if (use_cache) {
-    cache_key = MakeCacheKey(canonical, path);
+    cache_key = MakeCacheKey(event->canonical, path);
     ScopedSpan lookup_span(tracer, "cache.lookup");
     std::shared_ptr<const PlanCacheEntry> entry =
         plan_cache_.Lookup(cache_key, catalog_.schema_version(),
@@ -551,36 +515,50 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     lookup_span.Attr("hit", entry != nullptr ? "true" : "false");
     lookup_span.End();
     if (entry != nullptr) {
-      double cold_ms = entry->cold_optimize_ms;
-      auto hit = CompileFromCacheEntry(*entry, std::move(stmt), tracer);
+      auto hit =
+          CompileFromCacheEntry(*entry, std::move(stmt), tracer, event);
       if (hit.ok()) {
         counters_.cache_hits->Increment();
-        (*hit)->plan_cache_hit = true;
-        (*hit)->fingerprint = fingerprint;
-        (*hit)->canonical = std::move(canonical);
-        (*hit)->optimize_ms = MsSince(start);
-        (*hit)->optimize_saved_ms =
-            std::max(cold_ms - (*hit)->optimize_ms, 0.0);
+        const double ms = MsSince(start);
+        event->plan_cache_hit = true;
+        event->optimize_ms += ms;
+        event->optimize_saved_ms += std::max(entry->cold_optimize_ms - ms, 0.0);
         return hit;
       }
       // Thaw/refine mismatch (should not happen; defensive): the statement
       // was consumed, so recompile from SQL with the cache bypassed.
       counters_.cache_misses->Increment();
-      return CompileInternal(sql, path, /*use_cache=*/false, tracer);
+      return CompileInternal(sql, path, /*use_cache=*/false, tracer, event);
     }
     counters_.cache_misses->Increment();
   }
 
-  auto cache_plan = [&](const BlockSkeleton& skel, FrozenBlockSkeleton frozen,
-                        bool used_orca, double cold_ms) {
+  // Freezes `skel` before refinement consumes the statement; null when
+  // caching is off or the skeleton does not freeze.
+  auto freeze = [&](const BlockSkeleton& skel) {
+    std::optional<FrozenBlockSkeleton> frozen;
+    if (!use_cache) return frozen;
+    ScopedSpan freeze_span(tracer, "cache.freeze");
+    auto frozen_or = FreezeSkeleton(skel);
+    if (frozen_or.ok()) frozen = std::move(*frozen_or);
+    return frozen;
+  };
+  // Books this compile's time and caches the plan when it froze.
+  auto finish = [&](const BlockSkeleton& skel,
+                    std::optional<FrozenBlockSkeleton> frozen,
+                    bool used_orca) {
+    const double ms = MsSince(start);
+    event->used_orca = used_orca;
+    event->optimize_ms += ms;
+    if (!frozen.has_value()) return;
     PlanCacheEntry entry;
     entry.fingerprint = fingerprint;
-    entry.skeleton = std::move(frozen);
+    entry.skeleton = std::move(*frozen);
     entry.used_orca = used_orca;
     entry.via_orca_route = used_orca;
     entry.est_cost = skel.cost;
     entry.est_rows = skel.out_rows;
-    entry.cold_optimize_ms = cold_ms;
+    entry.cold_optimize_ms = ms;
     entry.schema_version = catalog_.schema_version();
     entry.stats_version = catalog_.stats_version();
     plan_cache_.Insert(cache_key, std::move(entry),
@@ -594,6 +572,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
   if (try_orca && quarantined) {
     try_orca = false;
     quarantine_hit = true;
+    event->quarantine_hit = true;
     counters_.quarantine_hits->Increment();
   }
   {
@@ -603,8 +582,8 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
                                                : "mysql");
   }
 
-  Status detour_error;  // stays OK unless the detour fails
   if (try_orca) {
+    Status detour_error;
     counters_.detours_attempted->Increment();
     ScopedSpan detour_span(tracer, "orca.detour");
     ResourceGovernor governor(resource_budget_);
@@ -620,32 +599,16 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
       // post-optimization steps and trace as compile-level siblings.
       detour_span.End();
       std::unique_ptr<BlockSkeleton> skeleton = std::move(*orca_skel);
-      {
-        MutexLock lock(&state_mu_);
-        last_orca_metrics_ = orca.metrics();
-      }
-      // Freeze before refinement consumes the statement.
-      FrozenBlockSkeleton frozen;
-      bool cacheable = false;
-      if (use_cache) {
-        ScopedSpan freeze_span(tracer, "cache.freeze");
-        auto frozen_or = FreezeSkeleton(*skeleton);
-        if (frozen_or.ok()) {
-          frozen = std::move(*frozen_or);
-          cacheable = true;
-        }
-      }
+      std::optional<FrozenBlockSkeleton> frozen = freeze(*skeleton);
       ScopedSpan refine_span(tracer, "refine");
       auto refined = RefinePlan(std::move(stmt), *skeleton, catalog_);
       refine_span.End();
       if (refined.ok()) {
-        auto compiled = std::move(*refined);
-        compiled->used_orca = true;
         // Post-refinement boundary: the executable block plan (B001-B003).
         if (verify_config_.verify_plans) {
           ScopedSpan verify_span(tracer, "verify.block");
           VerifyReport block_report;
-          VerifyBlockPlan(*compiled, &block_report);
+          VerifyBlockPlan(**refined, &block_report);
           verifier_rules += block_report.rules_checked;
           verifier_violations += block_report.violations();
           if (verify_config_.enforce && !block_report.ok()) {
@@ -653,16 +616,11 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
           }
         }
         if (detour_error.ok()) {
-          compiled->verifier_rules = verifier_rules;
-          compiled->verifier_violations = verifier_violations;
-          compiled->fingerprint = fingerprint;
-          compiled->canonical = std::move(canonical);
-          compiled->optimize_ms = MsSince(start);
-          if (cacheable) {
-            cache_plan(*skeleton, std::move(frozen), /*used_orca=*/true,
-                       compiled->optimize_ms);
-          }
-          return compiled;
+          event->orca = orca.metrics();
+          event->verifier_rules += verifier_rules;
+          event->verifier_violations += verifier_violations;
+          finish(*skeleton, std::move(frozen), /*used_orca=*/true);
+          return std::move(*refined);
         }
       } else {
         detour_error = refined.status();
@@ -683,15 +641,15 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     detour_span.Attr("status", detour_error.ToString());
     if (path == OptimizerPath::kOrca) return detour_error;
     counters_.fallbacks->Increment();
-    fell_back = true;
-    SetLastFellBack(true);
-    if (quarantine_config_.enable) RecordDetourFailure(fingerprint);
+    event->fell_back = true;
+    event->fallback_reason = detour_error.ToString();
+    RecordDetourFailure(fingerprint);
     // Clean fallback: the detour may have rewritten the AST (decorrelation,
     // OR factoring) or consumed it (refinement), so re-parse and re-bind
     // from the pristine SQL. The MySQL path then sees exactly what it would
     // have seen without the detour — which also makes the compile cacheable.
     ScopedSpan reparse_span(tracer, "fallback.reparse");
-    reparse_span.Attr("reason", detour_error.ToString());
+    reparse_span.Attr("reason", event->fallback_reason);
     TAURUS_ASSIGN_OR_RETURN(auto reparsed, ParseSelect(sql));
     TAURUS_ASSIGN_OR_RETURN(stmt,
                             BindStatement(catalog_, std::move(reparsed)));
@@ -713,18 +671,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     VerifySkeletonPlan(*skeleton, catalog_, /*check_cte_pairing=*/false,
                        &mysql_report);
   }
-
-  // Freeze before refinement consumes the statement.
-  FrozenBlockSkeleton frozen;
-  bool cacheable = false;
-  if (use_cache) {
-    ScopedSpan freeze_span(tracer, "cache.freeze");
-    auto frozen_or = FreezeSkeleton(*skeleton);
-    if (frozen_or.ok()) {
-      frozen = std::move(*frozen_or);
-      cacheable = true;
-    }
-  }
+  std::optional<FrozenBlockSkeleton> frozen = freeze(*skeleton);
 
   ScopedSpan refine_span(tracer, "refine");
   TAURUS_ASSIGN_OR_RETURN(auto compiled,
@@ -734,19 +681,9 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     ScopedSpan verify_span(tracer, "verify.block");
     VerifyBlockPlan(*compiled, &mysql_report);
   }
-  compiled->verifier_rules = mysql_report.rules_checked;
-  compiled->verifier_violations = mysql_report.violations();
-  compiled->fell_back = fell_back;
-  if (!detour_error.ok()) compiled->fallback_reason = detour_error.ToString();
-  compiled->quarantine_hit = quarantine_hit;
-  compiled->fingerprint = fingerprint;
-  compiled->canonical = std::move(canonical);
-  compiled->optimize_ms = MsSince(start);
-
-  if (cacheable) {
-    cache_plan(*skeleton, std::move(frozen), /*used_orca=*/false,
-               compiled->optimize_ms);
-  }
+  event->verifier_rules += mysql_report.rules_checked;
+  event->verifier_violations += mysql_report.violations();
+  finish(*skeleton, std::move(frozen), /*used_orca=*/false);
   return compiled;
 }
 
@@ -783,80 +720,35 @@ Result<QueryResult> Database::Query(const std::string& sql,
 Result<QueryResult> Database::QueryInternal(
     const std::string& sql, OptimizerPath path, const QueryOptions& options,
     OpActualsMap* actuals, std::unique_ptr<CompiledQuery>* compiled_out) {
-  // Split so introspection covers every exit path: QueryPipeline deposits
-  // facts into `obs` as it learns them, and the recording below runs for
-  // successes, compile errors and budget kills alike.
-  QueryObs obs;
-  Result<QueryResult> result =
-      QueryPipeline(sql, path, options, actuals, compiled_out, &obs);
-  uint64_t seq = RecordQueryObservability(options, result, &obs);
-  if (result.ok()) (*result).flight_seq = seq;
-  return result;
+  QueryResult out;
+  static_cast<QueryEvent&>(out) = options.seed;
+  Status status =
+      QueryPipeline(sql, path, options, actuals, compiled_out, &out);
+  RecordQueryEvent(status, &out);
+  if (!status.ok()) return status;
+  return out;
 }
 
-Result<QueryResult> Database::QueryPipeline(
-    const std::string& sql, OptimizerPath path, const QueryOptions& options,
-    OpActualsMap* actuals, std::unique_ptr<CompiledQuery>* compiled_out,
-    QueryObs* obs) {
-  counters_.queries->Increment();
-  std::shared_ptr<Tracer> tracer_owner = BeginTrace(options);
+Status Database::QueryPipeline(const std::string& sql, OptimizerPath path,
+                               const QueryOptions& options,
+                               OpActualsMap* actuals,
+                               std::unique_ptr<CompiledQuery>* compiled_out,
+                               QueryResult* out) {
+  std::shared_ptr<Tracer> tracer_owner = NewTracer(options.trace);
   Tracer* tracer = tracer_owner.get();
-  obs->tracer = tracer_owner;
+  out->trace = std::move(tracer_owner);
   ScopedSpan query_span(tracer, "query");
   ScopedSpan compile_span(tracer, "compile");
   auto compiled_or =
-      CompileInternal(sql, path, plan_cache_config_.enable, tracer);
+      CompileInternal(sql, path, plan_cache_config_.enable, tracer, out);
   compile_span.End();
-  if (!compiled_or.ok()) {
-    counters_.query_errors->Increment();
-    return compiled_or.status();
-  }
-  auto compiled = std::move(*compiled_or);
-  obs->fingerprint = compiled->fingerprint;
-  obs->canonical = compiled->canonical;
-  obs->used_orca = compiled->used_orca;
-  obs->fell_back = compiled->fell_back;
-  obs->quarantine_hit = compiled->quarantine_hit;
-  obs->plan_cache_hit = compiled->plan_cache_hit;
-  obs->optimize_ms = compiled->optimize_ms;
-  counters_.optimize_ms->Record(compiled->optimize_ms);
-  QueryResult out;
-  out.columns = compiled->root->column_names;
-  out.used_orca = compiled->used_orca;
-  out.optimize_ms = compiled->optimize_ms;
-  out.plan_cache_hit = compiled->plan_cache_hit;
-  out.optimize_saved_ms = compiled->optimize_saved_ms;
-  out.fell_back = compiled->fell_back;
-  out.fallback_reason = compiled->fallback_reason;
-  out.quarantine_hit = compiled->quarantine_hit;
-  out.verifier_rules = compiled->verifier_rules;
-  out.verifier_violations = compiled->verifier_violations;
+  TAURUS_RETURN_IF_ERROR(compiled_or.status());
+  std::unique_ptr<CompiledQuery> compiled = std::move(*compiled_or);
+  out->columns = compiled->root->column_names;
 
-  const Clock* analyze_clock =
-      trace_config_.clock != nullptr ? trace_config_.clock
-                                     : &SteadyClock::Instance();
   auto start = std::chrono::steady_clock::now();
   ExecContext ctx;
-  ArmExecContext(&ctx, compiled->used_orca, options.worker_cap);
-  if (exec_config_.enable_profiling) {
-    // Per-worker morsel timing lands in obs->profile; the parallel
-    // executor's workers stamp private slots and merge on the main thread.
-    obs->profile.enabled = true;
-    ctx.exec_profile = &obs->profile;
-    ctx.profile_clock = analyze_clock;
-  }
-  if (actuals != nullptr) {
-    ctx.op_actuals = actuals;
-    ctx.analyze_clock = analyze_clock;
-  }
-  if (verify_config_.verify_plans) {
-    // B004 — budget hooks present on the armed execution context.
-    VerifyReport arm_report;
-    VerifyExecBudgetArming(compiled->used_orca,
-                           resource_budget_.governs_exec(), ctx, &arm_report);
-    out.verifier_rules += arm_report.rules_checked;
-    out.verifier_violations += arm_report.violations();
-  }
+  ArmExecContext(&ctx, options.worker_cap, actuals, out);
   ExecContext* final_ctx = &ctx;
   ScopedSpan exec_span(tracer, "execute");
   auto rows = ExecuteQuery(compiled.get(), storage_, &ctx);
@@ -866,206 +758,105 @@ Result<QueryResult> Database::QueryPipeline(
                           // budget counter), so the fallback re-execution
                           // gets its own context.
   if (!rows.ok()) {
-    bool budget_kill = compiled->used_orca &&
+    bool budget_kill = out->used_orca &&
                        rows.status().code() == StatusCode::kResourceExhausted;
-    if (!budget_kill || path != OptimizerPath::kAuto) {
-      counters_.query_errors->Increment();
-      return rows.status();
-    }
+    if (!budget_kill || path != OptimizerPath::kAuto) return rows.status();
     // The executor budget killed an Orca plan mid-execution on the auto
     // route: recompile through the MySQL path and re-execute unbudgeted.
     counters_.exec_budget_kills->Increment();
     counters_.fallbacks->Increment();
-    if (quarantine_config_.enable && compiled->fingerprint != 0) {
-      RecordDetourFailure(compiled->fingerprint);
-    }
+    RecordDetourFailure(out->fingerprint);
     Status kill = rows.status();
     exec_span.Attr("aborted", "true");
     exec_span.Attr("status", kill.ToString());
     ScopedSpan recompile_span(tracer, "fallback.recompile");
     auto retry_or = CompileInternal(sql, OptimizerPath::kMySql,
-                                    plan_cache_config_.enable, tracer);
+                                    plan_cache_config_.enable, tracer, out);
     recompile_span.End();
-    if (!retry_or.ok()) {
-      counters_.query_errors->Increment();
-      return retry_or.status();
-    }
+    TAURUS_RETURN_IF_ERROR(retry_or.status());
     compiled = std::move(*retry_or);
-    out.used_orca = false;
-    out.fell_back = true;
-    out.fallback_reason = kill.ToString();
-    out.plan_cache_hit = compiled->plan_cache_hit;
-    out.optimize_ms += compiled->optimize_ms;
-    out.verifier_rules += compiled->verifier_rules;
-    out.verifier_violations += compiled->verifier_violations;
-    obs->used_orca = false;
-    obs->fell_back = true;
-    obs->plan_cache_hit = compiled->plan_cache_hit;
-    obs->optimize_ms = out.optimize_ms;
-    ArmExecContext(&retry_ctx, /*used_orca=*/false, options.worker_cap);
-    if (exec_config_.enable_profiling) {
-      retry_ctx.exec_profile = &obs->profile;
-      retry_ctx.profile_clock = analyze_clock;
-    }
-    if (actuals != nullptr) {
-      actuals->clear();  // the aborted run's partial actuals are stale
-      retry_ctx.op_actuals = actuals;
-      retry_ctx.analyze_clock = analyze_clock;
-    }
-    if (verify_config_.verify_plans) {
-      VerifyReport arm_report;
-      VerifyExecBudgetArming(/*used_orca=*/false,
-                             resource_budget_.governs_exec(), retry_ctx,
-                             &arm_report);
-      out.verifier_rules += arm_report.rules_checked;
-      out.verifier_violations += arm_report.violations();
-    }
+    out->fell_back = true;
+    out->fallback_reason = kill.ToString();
+    if (actuals != nullptr) actuals->clear();  // the aborted run's are stale
+    ArmExecContext(&retry_ctx, options.worker_cap, actuals, out);
     ScopedSpan retry_span(tracer, "execute");
     retry_span.Attr("retry", "true");
     rows = ExecuteQuery(compiled.get(), storage_, &retry_ctx);
     retry_span.End();
     final_exec_id = retry_span.id();
     final_ctx = &retry_ctx;
-    if (!rows.ok()) {
-      counters_.query_errors->Increment();
-      return rows.status();
-    }
+    TAURUS_RETURN_IF_ERROR(rows.status());
   }
-  out.rows = std::move(*rows);
-  out.execute_ms = MsSince(start);
-  out.rows_scanned = final_ctx->rows_scanned;
-  out.index_lookups = final_ctx->index_lookups;
-  out.rebinds = final_ctx->rebinds;
-  out.parallel_workers_used = final_ctx->max_workers_used;
-  out.parallel_pipelines = final_ctx->parallel_pipelines;
-  out.batch_pipelines = final_ctx->batch_pipelines;
-  out.batches = final_ctx->batches;
-  out.batch_rows = final_ctx->batch_rows;
-
-  counters_.execute_ms->Record(out.execute_ms);
-  counters_.exec_rows_scanned->Increment(out.rows_scanned);
-  counters_.exec_index_lookups->Increment(out.index_lookups);
-  if (out.verifier_rules > 0) {
-    counters_.verifier_rules->Increment(out.verifier_rules);
-  }
-  if (out.verifier_violations > 0) {
-    counters_.verifier_violations->Increment(out.verifier_violations);
-  }
-  if (out.parallel_pipelines > 0) {
-    counters_.parallel_queries->Increment();
-    counters_.parallel_pipelines->Increment(out.parallel_pipelines);
-  }
-  if (out.batch_pipelines > 0) {
-    counters_.batch_pipelines->Increment(out.batch_pipelines);
-    counters_.batches->Increment(out.batches);
-    counters_.batch_rows->Increment(out.batch_rows);
-  }
+  out->rows = std::move(*rows);
+  out->rows_returned = static_cast<int64_t>(out->rows.size());
+  out->execute_ms = MsSince(start);
+  out->rows_scanned = final_ctx->rows_scanned;
+  out->index_lookups = final_ctx->index_lookups;
+  out->rebinds = final_ctx->rebinds;
+  out->parallel_workers_used = final_ctx->max_workers_used;
+  out->parallel_pipelines = final_ctx->parallel_pipelines;
+  out->batch_pipelines = final_ctx->batch_pipelines;
+  out->batches = final_ctx->batches;
+  out->batch_rows = final_ctx->batch_rows;
   if (tracer != nullptr) {
     tracer->SetAttr(final_exec_id, "workers",
-                    std::to_string(out.parallel_workers_used));
+                    std::to_string(out->parallel_workers_used));
     tracer->SetAttr(final_exec_id, "pipelines",
-                    std::to_string(out.parallel_pipelines));
+                    std::to_string(out->parallel_pipelines));
     tracer->SetAttr(final_exec_id, "batch_pipelines",
-                    std::to_string(out.batch_pipelines));
-  }
-  obs->profile.admission_wait_ms = options.admission_wait_ms;
-  out.profile = obs->profile;
-  // Fold the session layer's admission outcome into the result so every
-  // consumer (client, digest store, flight recorder) sees one story.
-  out.shed = options.shed;
-  out.admission_queued = options.admission_queued;
-  out.admission_wait_ms = options.admission_wait_ms;
-  if (options.shed) {
-    out.fell_back = true;
-    out.fallback_reason =
-        Status::ResourceExhausted("admission overload: shed to MySQL path (" +
-                                  options.shed_cause + ")")
-            .SetOrigin("server.admission", "shed")
-            .ToString();
+                    std::to_string(out->batch_pipelines));
   }
   if (compiled_out != nullptr) *compiled_out = std::move(compiled);
-  return out;
+  return Status::OK();
 }
 
-uint64_t Database::RecordQueryObservability(const QueryOptions& options,
-                                            const Result<QueryResult>& result,
-                                            QueryObs* obs) {
-  obs->profile.admission_wait_ms = options.admission_wait_ms;
-  const bool ok = result.ok();
-  const QueryResult* r = ok ? &*result : nullptr;
-  // Success reads the result (which already folded retries and the shed
-  // story in); failures fall back to whatever QueryPipeline learned before
-  // the error.
-  const bool used_orca = r != nullptr ? r->used_orca : obs->used_orca;
-  const bool fell_back =
-      (r != nullptr ? r->fell_back : obs->fell_back) || options.shed;
-  const bool quarantine_hit =
-      r != nullptr ? r->quarantine_hit : obs->quarantine_hit;
-  const bool plan_cache_hit =
-      r != nullptr ? r->plan_cache_hit : obs->plan_cache_hit;
-  const double optimize_ms = r != nullptr ? r->optimize_ms : obs->optimize_ms;
-  const double execute_ms = r != nullptr ? r->execute_ms : 0.0;
-  double total_ms = optimize_ms + execute_ms;
-  if (obs->tracer != nullptr) {
-    const TraceSpan* root = obs->tracer->Find("query");
+void Database::RecordQueryEvent(const Status& status, QueryResult* out) {
+  const QueryEvent& e = *out;
+  counters_.queries->Increment();
+  if (!status.ok()) counters_.query_errors->Increment();
+  // Every finished compile adds a positive time; 0 means none finished.
+  if (e.optimize_ms > 0) counters_.optimize_ms->Record(e.optimize_ms);
+  if (status.ok()) {
+    counters_.execute_ms->Record(e.execute_ms);
+    counters_.exec_rows_scanned->Increment(e.rows_scanned);
+    counters_.exec_index_lookups->Increment(e.index_lookups);
+    if (e.verifier_rules > 0) {
+      counters_.verifier_rules->Increment(e.verifier_rules);
+    }
+    if (e.verifier_violations > 0) {
+      counters_.verifier_violations->Increment(e.verifier_violations);
+    }
+    if (e.parallel_pipelines > 0) {
+      counters_.parallel_queries->Increment();
+      counters_.parallel_pipelines->Increment(e.parallel_pipelines);
+    }
+    if (e.batch_pipelines > 0) {
+      counters_.batch_pipelines->Increment(e.batch_pipelines);
+      counters_.batches->Increment(e.batches);
+      counters_.batch_rows->Increment(e.batch_rows);
+    }
+  }
+  if (e.profile.pipelines > 0) {
+    counters_.profile_pipelines->Increment(e.profile.pipelines);
+    counters_.profile_morsels->Increment(e.profile.morsels());
+    counters_.profile_last_busy_ms->Set(e.profile.busy_ms());
+    counters_.profile_last_idle_ms->Set(e.profile.idle_ms());
+    counters_.profile_last_workers->Set(
+        static_cast<double>(e.profile.workers.size()));
+  }
+
+  double total_ms = e.optimize_ms + e.execute_ms;
+  if (e.trace != nullptr) {
+    const TraceSpan* root = e.trace->Find("query");
     if (root != nullptr && root->ended) total_ms = root->duration_ms();
   }
-
-  if (digest_config_.enable) {
-    DigestSample sample;
-    sample.fingerprint = obs->fingerprint;  // 0: failed before fingerprinting
-    sample.canonical = &obs->canonical;
-    sample.used_orca = used_orca;
-    sample.error = !ok;
-    sample.shed = options.shed;
-    sample.fell_back = fell_back;
-    sample.quarantine_hit = quarantine_hit;
-    sample.plan_cache_hit = plan_cache_hit;
-    sample.verifier_violations = r != nullptr ? r->verifier_violations : 0;
-    sample.rows_returned =
-        r != nullptr ? static_cast<int64_t>(r->rows.size()) : 0;
-    sample.latency_ms = total_ms;
-    digest_store_.Record(sample);
-  }
-
-  if (obs->profile.enabled && obs->profile.pipelines > 0) {
-    counters_.profile_pipelines->Increment(obs->profile.pipelines);
-    counters_.profile_morsels->Increment(obs->profile.morsels());
-    counters_.profile_last_busy_ms->Set(obs->profile.busy_ms());
-    counters_.profile_last_idle_ms->Set(obs->profile.idle_ms());
-    counters_.profile_last_workers->Set(
-        static_cast<double>(obs->profile.workers.size()));
-  }
-
-  if (!flight_config_.enable) return 0;
+  digest_store_.Record(e, !status.ok(), total_ms);
+  if (!flight_config_.enable) return;
   FlightRecord rec;
-  rec.fingerprint = obs->fingerprint;
-  rec.session_id = options.session_id;
-  rec.status = ok ? "ok" : result.status().ToString();
-  rec.error = !ok;
-  rec.admission = options.shed              ? "shed"
-                  : options.admission_queued ? "queued"
-                                             : "direct";
-  rec.admission_wait_ms = options.admission_wait_ms;
-  rec.used_orca = used_orca;
-  rec.fell_back = fell_back;
-  rec.shed = options.shed;
-  rec.quarantine_hit = quarantine_hit;
-  rec.plan_cache_hit = plan_cache_hit;
-  rec.optimize_ms = optimize_ms;
-  rec.execute_ms = execute_ms;
+  rec.status = status.ok() ? "ok" : status.ToString();
   rec.total_ms = total_ms;
-  rec.rows_returned = r != nullptr ? static_cast<int64_t>(r->rows.size()) : 0;
-  rec.workers = r != nullptr ? r->parallel_workers_used : 1;
-  rec.batches = r != nullptr ? r->batches : 0;
-  rec.profile = obs->profile;
-  // Post-mortem pinning: aborted / shed / fallen-back / quarantined queries
-  // keep their full span tree alive in the ring slot, surviving after
-  // last_trace() (and per-session slots) get overwritten.
-  if (rec.error || rec.shed || rec.fell_back || rec.quarantine_hit) {
-    rec.pinned_trace = obs->tracer;
-  }
-  return flight_recorder_.Record(std::move(rec));
+  rec.event = e;
+  out->flight_seq = flight_recorder_.Record(std::move(rec));
 }
 
 Result<QueryResult> Database::ShowDigests(const std::string& pattern) {
@@ -1115,25 +906,24 @@ Result<QueryResult> Database::ShowFlightRecorder() {
   std::vector<FlightRecord> events = flight_recorder_.Snapshot();
   // Newest first: the post-mortem reader wants the recent past on top.
   for (auto it = events.rbegin(); it != events.rend(); ++it) {
-    const FlightRecord& e = *it;
+    const QueryEvent& e = it->event;
     Row row;
-    row.push_back(Value::Int(static_cast<int64_t>(e.seq)));
+    row.push_back(Value::Int(static_cast<int64_t>(e.flight_seq)));
     row.push_back(Value::Int(static_cast<int64_t>(e.session_id)));
     row.push_back(Value::Str(HexFingerprint(e.fingerprint)));
-    row.push_back(Value::Str(e.status));
-    row.push_back(Value::Str(e.admission));
+    row.push_back(Value::Str(it->status));
+    row.push_back(Value::Str(AdmissionOutcome(e)));
     row.push_back(Value::Double(e.admission_wait_ms));
     row.push_back(Value::Str(e.used_orca ? "orca" : "mysql"));
     row.push_back(Value::Bool(e.plan_cache_hit));
     row.push_back(Value::Int(e.rows_returned));
     row.push_back(Value::Double(e.optimize_ms));
     row.push_back(Value::Double(e.execute_ms));
-    row.push_back(Value::Double(e.total_ms));
-    row.push_back(Value::Int(e.workers));
+    row.push_back(Value::Double(it->total_ms));
+    row.push_back(Value::Int(e.parallel_workers_used));
     row.push_back(Value::Int(e.batches));
-    row.push_back(Value::Str(e.pinned_trace != nullptr
-                                 ? e.pinned_trace->TreeString()
-                                 : ""));
+    row.push_back(
+        Value::Str(e.trace != nullptr ? e.trace->TreeString() : ""));
     out.rows.push_back(std::move(row));
   }
   return out;
@@ -1146,11 +936,12 @@ Result<QueryResult> Database::ShowProfile(uint64_t seq) {
                             std::to_string(seq) +
                             " (overwritten or never recorded)");
   }
+  const ExecProfile& profile = rec.event.profile;
   QueryResult out;
   out.columns = {"Seq",     "Worker",    "BusyMs",     "IdleMs",
                  "Morsels", "BatchRows", "VolcanoRows", "AdmissionWaitMs"};
-  for (size_t w = 0; w < rec.profile.workers.size(); ++w) {
-    const WorkerProfile& wp = rec.profile.workers[w];
+  for (size_t w = 0; w < profile.workers.size(); ++w) {
+    const WorkerProfile& wp = profile.workers[w];
     Row row;
     row.push_back(Value::Int(static_cast<int64_t>(seq)));
     row.push_back(Value::Str(std::to_string(w)));
@@ -1168,18 +959,18 @@ Result<QueryResult> Database::ShowProfile(uint64_t seq) {
   Row total;
   total.push_back(Value::Int(static_cast<int64_t>(seq)));
   total.push_back(Value::Str("total"));
-  total.push_back(Value::Double(rec.profile.busy_ms()));
-  total.push_back(Value::Double(rec.profile.idle_ms()));
-  total.push_back(Value::Int(rec.profile.morsels()));
+  total.push_back(Value::Double(profile.busy_ms()));
+  total.push_back(Value::Double(profile.idle_ms()));
+  total.push_back(Value::Int(profile.morsels()));
   int64_t batch_rows = 0;
   int64_t volcano_rows = 0;
-  for (const WorkerProfile& wp : rec.profile.workers) {
+  for (const WorkerProfile& wp : profile.workers) {
     batch_rows += wp.batch_rows;
     volcano_rows += wp.volcano_rows;
   }
   total.push_back(Value::Int(batch_rows));
   total.push_back(Value::Int(volcano_rows));
-  total.push_back(Value::Double(rec.profile.admission_wait_ms));
+  total.push_back(Value::Double(rec.event.admission_wait_ms));
   out.rows.push_back(std::move(total));
   return out;
 }
@@ -1261,21 +1052,22 @@ std::string Database::FlightRecorderJson() {
   out += std::to_string(flight_recorder_.pinned());
   out += ",\"events\":[";
   bool first = true;
-  for (const FlightRecord& e : flight_recorder_.Snapshot()) {
+  for (const FlightRecord& rec : flight_recorder_.Snapshot()) {
+    const QueryEvent& e = rec.event;
     if (!first) out += ",";
     first = false;
     out += "{\"seq\":";
-    out += std::to_string(e.seq);
+    out += std::to_string(e.flight_seq);
     out += ",\"session\":";
     out += std::to_string(e.session_id);
     out += ",\"fingerprint\":\"";
     out += HexFingerprint(e.fingerprint);
     out += "\",\"status\":\"";
-    out += JsonEscape(e.status);
+    out += JsonEscape(rec.status);
     out += "\",\"error\":";
-    AppendJsonBool(&out, e.error);
+    AppendJsonBool(&out, rec.error());
     out += ",\"admission\":\"";
-    out += JsonEscape(e.admission);
+    out += AdmissionOutcome(e);
     out += "\",\"wait_ms\":";
     AppendJsonNum(&out, e.admission_wait_ms);
     out += ",\"used_orca\":";
@@ -1293,21 +1085,19 @@ std::string Database::FlightRecorderJson() {
     out += ",\"execute_ms\":";
     AppendJsonNum(&out, e.execute_ms);
     out += ",\"total_ms\":";
-    AppendJsonNum(&out, e.total_ms);
+    AppendJsonNum(&out, rec.total_ms);
     out += ",\"rows\":";
     out += std::to_string(e.rows_returned);
     out += ",\"workers\":";
-    out += std::to_string(e.workers);
+    out += std::to_string(e.parallel_workers_used);
     out += ",\"batches\":";
     out += std::to_string(e.batches);
-    out += ",\"profiled\":";
-    AppendJsonBool(&out, e.profile.enabled);
     out += ",\"morsels\":";
     out += std::to_string(e.profile.morsels());
     out += ",\"busy_ms\":";
     AppendJsonNum(&out, e.profile.busy_ms());
     out += ",\"pinned_trace\":";
-    AppendJsonBool(&out, e.pinned_trace != nullptr);
+    AppendJsonBool(&out, e.trace != nullptr);
     out += "}";
   }
   out += "]}";
@@ -1321,11 +1111,7 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql,
   TAURUS_ASSIGN_OR_RETURN(
       QueryResult res,
       QueryInternal(sql, path, QueryOptions{}, &actuals, &compiled));
-  ExplainAnalyzeData data;
-  data.actuals = &actuals;
-  data.execute_ms = res.execute_ms;
-  data.rows_returned = static_cast<int64_t>(res.rows.size());
-  return RenderExplainAnalyze(*compiled, data);
+  return RenderExplainAnalyze(*compiled, res, actuals);
 }
 
 Result<std::string> Database::ExplainAnalyzeJsonDump(const std::string& sql,
@@ -1335,11 +1121,7 @@ Result<std::string> Database::ExplainAnalyzeJsonDump(const std::string& sql,
   TAURUS_ASSIGN_OR_RETURN(
       QueryResult res,
       QueryInternal(sql, path, QueryOptions{}, &actuals, &compiled));
-  ExplainAnalyzeData data;
-  data.actuals = &actuals;
-  data.execute_ms = res.execute_ms;
-  data.rows_returned = static_cast<int64_t>(res.rows.size());
-  return ExplainAnalyzeJson(*compiled, data);
+  return ExplainAnalyzeJson(*compiled, res, actuals);
 }
 
 std::shared_ptr<ThreadPool> Database::GetPool(int workers) {
@@ -1352,8 +1134,9 @@ std::shared_ptr<ThreadPool> Database::GetPool(int workers) {
   return pool_;
 }
 
-void Database::ArmExecContext(ExecContext* ctx, bool used_orca,
-                              int worker_cap) {
+void Database::ArmExecContext(ExecContext* ctx, int worker_cap,
+                              OpActualsMap* actuals, QueryEvent* event) {
+  const bool used_orca = event->used_orca;
   if (used_orca && resource_budget_.governs_exec()) {
     // The executor budget governs the detour only; the MySQL path (and any
     // fallback re-execution) runs unbudgeted.
@@ -1382,12 +1165,32 @@ void Database::ArmExecContext(ExecContext* ctx, bool used_orca,
     ctx->pool_owner = GetPool(pool_size);
     ctx->pool = ctx->pool_owner.get();
   }
+  // Per-worker morsel timing lands in the event; the parallel executor's
+  // workers stamp private slots and merge on the main thread.
+  const Clock* clock = trace_config_.clock != nullptr
+                           ? trace_config_.clock
+                           : &SteadyClock::Instance();
+  ctx->exec_profile = &event->profile;
+  ctx->profile_clock = clock;
+  if (actuals != nullptr) {
+    ctx->op_actuals = actuals;
+    ctx->analyze_clock = clock;
+  }
+  if (verify_config_.verify_plans) {
+    // B004 — budget hooks present on the armed execution context.
+    VerifyReport arm_report;
+    VerifyExecBudgetArming(used_orca, resource_budget_.governs_exec(), *ctx,
+                           &arm_report);
+    event->verifier_rules += arm_report.rules_checked;
+    event->verifier_violations += arm_report.violations();
+  }
 }
 
 Result<std::string> Database::Explain(const std::string& sql,
                                       OptimizerPath path) {
-  TAURUS_ASSIGN_OR_RETURN(auto compiled, Compile(sql, path));
-  return RenderExplain(*compiled);
+  QueryEvent event;
+  TAURUS_ASSIGN_OR_RETURN(auto compiled, Compile(sql, path, &event));
+  return RenderExplain(*compiled, event);
 }
 
 }  // namespace taurus

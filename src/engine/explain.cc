@@ -46,9 +46,10 @@ std::string CondsToString(const std::vector<const Expr*>& conds) {
 
 class ExplainRenderer {
  public:
-  explicit ExplainRenderer(const CompiledQuery& query,
-                           const ExplainAnalyzeData* analyze = nullptr)
-      : query_(&query), analyze_(analyze) {
+  /// `actuals` null renders plain EXPLAIN, non-null EXPLAIN ANALYZE.
+  ExplainRenderer(const CompiledQuery& query, const QueryEvent& event,
+                  const OpActualsMap* actuals)
+      : query_(&query), event_(&event), actuals_(actuals) {
     // Build ref_id -> leaf map for invalidation annotations.
     std::vector<const QueryBlock*> blocks{query.ast.get()};
     while (!blocks.empty()) {
@@ -66,32 +67,32 @@ class ExplainRenderer {
 
   std::string Render() {
     std::string out;
-    if (analyze_ != nullptr) {
-      out = query_->used_orca ? "EXPLAIN ANALYZE (ORCA)\n" : "EXPLAIN ANALYZE\n";
+    if (actuals_ != nullptr) {
+      out = event_->used_orca ? "EXPLAIN ANALYZE (ORCA)\n" : "EXPLAIN ANALYZE\n";
       char buf[96];
       std::snprintf(buf, sizeof(buf), "actual: rows=%lld time=%.3f ms\n",
-                    static_cast<long long>(analyze_->rows_returned),
-                    analyze_->execute_ms);
+                    static_cast<long long>(event_->rows_returned),
+                    event_->execute_ms);
       out += buf;
     } else {
-      out = query_->used_orca ? "EXPLAIN (ORCA)\n" : "EXPLAIN\n";
+      out = event_->used_orca ? "EXPLAIN (ORCA)\n" : "EXPLAIN\n";
     }
-    if (query_->plan_cache_hit) {
+    if (event_->plan_cache_hit) {
       // Own line so the first-line optimizer marker stays stable.
       char buf[64];
       std::snprintf(buf, sizeof(buf), "plan cache hit (saved %.3f ms)\n",
-                    query_->optimize_saved_ms);
+                    event_->optimize_saved_ms);
       out += buf;
     }
     // Degradation markers (own lines, after the optimizer marker).
-    if (query_->quarantine_hit) {
+    if (event_->quarantine_hit) {
       out += "orca detour quarantined; used MySQL path\n";
-    } else if (query_->fell_back) {
-      out += "orca detour fell back (" + query_->fallback_reason + ")\n";
+    } else if (event_->fell_back) {
+      out += "orca detour fell back (" + event_->fallback_reason + ")\n";
     }
-    if (query_->verifier_rules > 0) {
-      out += "plan_verifier: " + std::to_string(query_->verifier_rules) +
-             " rules, " + std::to_string(query_->verifier_violations) +
+    if (event_->verifier_rules > 0) {
+      out += "plan_verifier: " + std::to_string(event_->verifier_rules) +
+             " rules, " + std::to_string(event_->verifier_violations) +
              " violations\n";
     }
     RenderBlock(*query_->root, 0, &out);
@@ -100,7 +101,7 @@ class ExplainRenderer {
              (query_->subplans[i]->correlated ? " (correlated)" : "") + "\n";
       RenderBlock(*query_->subplans[i]->plan, 0, &out);
     }
-    if (analyze_ != nullptr) AppendQErrorSection(&out);
+    if (actuals_ != nullptr) AppendQErrorSection(&out);
     return out;
   }
 
@@ -108,16 +109,16 @@ class ExplainRenderer {
   /// Estimate annotation, plus actuals + q-error under EXPLAIN ANALYZE.
   std::string Annot(const PhysOp& op) {
     std::string out = Est(op.est_cost, op.est_rows);
-    if (analyze_ != nullptr) {
-      out += ActualAnnot(analyze_->actuals->Find(&op), op.est_rows);
+    if (actuals_ != nullptr) {
+      out += ActualAnnot(actuals_->Find(&op), op.est_rows);
     }
     return out;
   }
 
   std::string BlockAnnot(const BlockPlan& plan) {
     std::string out = Est(plan.est_cost, plan.est_rows);
-    if (analyze_ != nullptr) {
-      out += ActualAnnot(analyze_->actuals->Find(&plan), plan.est_rows);
+    if (actuals_ != nullptr) {
+      out += ActualAnnot(actuals_->Find(&plan), plan.est_rows);
     }
     return out;
   }
@@ -140,7 +141,7 @@ class ExplainRenderer {
     for (const auto& [label, plan] : blocks) {
       if (plan == nullptr) continue;
       std::vector<PositionQError> qs =
-          CollectPositionQErrors(*plan, *analyze_->actuals);
+          CollectPositionQErrors(*plan, *actuals_);
       if (qs.empty()) continue;
       *out += "q-error by position (" + label + "):\n";
       for (const PositionQError& q : qs) {
@@ -394,8 +395,9 @@ class ExplainRenderer {
   }
 
   const CompiledQuery* query_;
+  const QueryEvent* event_;
+  const OpActualsMap* actuals_;
   std::map<int, const TableRef*> leaf_by_ref_;
-  const ExplainAnalyzeData* analyze_;
 };
 
 std::string JsonEscape(const std::string& s) {
@@ -425,8 +427,9 @@ std::string JsonEscape(const std::string& s) {
 /// schema-stable and trivially escapable.
 class AnalyzeJsonWriter {
  public:
-  AnalyzeJsonWriter(const CompiledQuery& query, const ExplainAnalyzeData& data)
-      : query_(&query), data_(&data) {}
+  AnalyzeJsonWriter(const CompiledQuery& query, const QueryEvent& event,
+                    const OpActualsMap& actuals)
+      : query_(&query), event_(&event), actuals_(&actuals) {}
 
   std::string Write() {
     std::string out = "{";
@@ -434,8 +437,8 @@ class AnalyzeJsonWriter {
     std::snprintf(buf, sizeof(buf),
                   "\"explain_analyze\": true, \"used_orca\": %s, "
                   "\"execute_ms\": %.6f, \"rows_returned\": %lld",
-                  query_->used_orca ? "true" : "false", data_->execute_ms,
-                  static_cast<long long>(data_->rows_returned));
+                  event_->used_orca ? "true" : "false", event_->execute_ms,
+                  static_cast<long long>(event_->rows_returned));
     out += buf;
     out += ", \"plan\": ";
     WriteBlock(*query_->root, &out);
@@ -453,7 +456,7 @@ class AnalyzeJsonWriter {
  private:
   /// Appends the shared actual-execution fields for one plan node.
   void AppendActuals(const void* node, double est_rows, std::string* out) {
-    const OpActual* a = data_->actuals->Find(node);
+    const OpActual* a = actuals_->Find(node);
     char buf[160];
     if (a == nullptr || a->loops <= 0) {
       *out += ", \"actual_rows\": 0, \"loops\": 0, \"time_ms\": 0.0, "
@@ -545,7 +548,7 @@ class AnalyzeJsonWriter {
     for (const BlockPlan* plan : blocks) {
       if (plan == nullptr) continue;
       for (const PositionQError& q :
-           CollectPositionQErrors(*plan, *data_->actuals)) {
+           CollectPositionQErrors(*plan, *actuals_)) {
         if (!first) *out += ", ";
         first = false;
         char buf[192];
@@ -565,41 +568,36 @@ class AnalyzeJsonWriter {
   }
 
   const CompiledQuery* query_;
-  const ExplainAnalyzeData* data_;
+  const QueryEvent* event_;
+  const OpActualsMap* actuals_;
 };
 
 }  // namespace
 
-Result<std::string> RenderExplain(const CompiledQuery& query) {
+Result<std::string> RenderExplain(const CompiledQuery& query,
+                                  const QueryEvent& event) {
   if (query.root == nullptr) {
     return Status::InvalidArgument("query was not compiled");
   }
-  ExplainRenderer renderer(query);
-  return renderer.Render();
+  return ExplainRenderer(query, event, nullptr).Render();
 }
 
 Result<std::string> RenderExplainAnalyze(const CompiledQuery& query,
-                                         const ExplainAnalyzeData& data) {
+                                         const QueryEvent& event,
+                                         const OpActualsMap& actuals) {
   if (query.root == nullptr) {
     return Status::InvalidArgument("query was not compiled");
   }
-  if (data.actuals == nullptr) {
-    return Status::InvalidArgument("EXPLAIN ANALYZE requires actuals");
-  }
-  ExplainRenderer renderer(query, &data);
-  return renderer.Render();
+  return ExplainRenderer(query, event, &actuals).Render();
 }
 
 Result<std::string> ExplainAnalyzeJson(const CompiledQuery& query,
-                                       const ExplainAnalyzeData& data) {
+                                       const QueryEvent& event,
+                                       const OpActualsMap& actuals) {
   if (query.root == nullptr) {
     return Status::InvalidArgument("query was not compiled");
   }
-  if (data.actuals == nullptr) {
-    return Status::InvalidArgument("EXPLAIN ANALYZE requires actuals");
-  }
-  AnalyzeJsonWriter writer(query, data);
-  return writer.Write();
+  return AnalyzeJsonWriter(query, event, actuals).Write();
 }
 
 }  // namespace taurus

@@ -122,11 +122,11 @@ struct ExecContext {
 
   // --- Executor profiling (see DESIGN.md section 15) ---
 
-  /// When non-null (root contexts only; armed by the engine when
-  /// ExecutorConfig::enable_profiling is on), every morsel-parallel
-  /// pipeline folds its per-worker busy/idle timing and morsel counts in
-  /// here. Workers time into private slots; the merge happens on the main
-  /// thread after the pool joins, so profiling adds no synchronization.
+  /// When non-null (root contexts only; the engine arms every query),
+  /// every morsel-parallel pipeline folds its per-worker busy/idle timing
+  /// and morsel counts in here. Workers time into private slots; the merge
+  /// happens on the main thread after the pool joins, so profiling adds no
+  /// synchronization.
   ExecProfile* exec_profile = nullptr;
   /// Clock for worker timing; set with exec_profile. Tests inject a
   /// FakeClock for deterministic morsel counts (durations collapse to 0).

@@ -26,19 +26,11 @@ struct WorkerProfile {
 };
 
 /// Per-query executor profile: per-worker morsel timing aggregated across
-/// every morsel-parallel pipeline of the query. Copyable (folded into
-/// QueryResult and the flight recorder). Admission-queue wait is the third
-/// leg next to busy/idle — it is attributed by the server layer from the
-/// admission ticket, not measured by the executor.
+/// every morsel-parallel pipeline of the query. Copyable (it is part of the
+/// query's QueryEvent). No worker slots means every pipeline ran serial.
 struct ExecProfile {
-  /// True when profiling was armed for this query
-  /// (ExecutorConfig::enable_profiling); an enabled profile with no worker
-  /// slots means every pipeline ran serial.
-  bool enabled = false;
   /// Morsel-parallel pipelines that contributed worker slots.
   int pipelines = 0;
-  /// Wall time the query spent queued in the admission controller.
-  double admission_wait_ms = 0.0;
   /// Indexed by worker slot; sized by the widest DOP any pipeline used.
   std::vector<WorkerProfile> workers;
 

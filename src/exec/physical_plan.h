@@ -182,7 +182,9 @@ struct Subplan {
 
 /// A fully compiled statement: the bound AST (owning all Expr/TableRef
 /// nodes), the root block plan, expression-subquery plans, and any
-/// expressions synthesized during optimization/refinement.
+/// expressions synthesized during optimization/refinement. How the plan was
+/// obtained (route, cache hit, fallback, verifier counts) is recorded in the
+/// compile's QueryEvent, not here.
 struct CompiledQuery {
   std::unique_ptr<QueryBlock> ast;  ///< bound & prepared AST (owns exprs)
   int num_refs = 0;
@@ -195,38 +197,6 @@ struct CompiledQuery {
   /// Owner for expressions created after binding (predicate rewrites,
   /// synthesized equality conjuncts, ...).
   std::vector<std::unique_ptr<Expr>> owned_exprs;
-
-  /// True when the plan was produced via the Orca detour.
-  bool used_orca = false;
-  /// Optimization wall-clock time, for the Table 1 experiment.
-  double optimize_ms = 0.0;
-
-  /// True when the skeleton came from the engine's plan cache rather than
-  /// a fresh optimizer run.
-  bool plan_cache_hit = false;
-  /// On a cache hit: the cold compile's optimize time minus this compile's,
-  /// i.e. the optimizer work the cache avoided. 0 on misses.
-  double optimize_saved_ms = 0.0;
-
-  /// True when the Orca detour was attempted and failed, and this plan is
-  /// the clean MySQL-path fallback (Section 4.2.1).
-  bool fell_back = false;
-  /// The detour failure that caused the fallback ("" when !fell_back).
-  std::string fallback_reason;
-  /// True when the detour was skipped because the statement is quarantined
-  /// (it failed the detour too many times since the last version bump).
-  bool quarantine_hit = false;
-  /// Statement fingerprint hash (0 when fingerprinting was skipped).
-  uint64_t fingerprint = 0;
-  /// Canonical statement text behind `fingerprint` ("" when fingerprinting
-  /// was skipped) — the digest store's display text.
-  std::string canonical;
-
-  /// Plan-verifier summary for this compilation: total rule evaluations
-  /// across the boundary verifiers that ran, and how many fired (surfaced
-  /// in EXPLAIN as "plan_verifier: N rules, M violations").
-  int verifier_rules = 0;
-  int verifier_violations = 0;
 };
 
 }  // namespace taurus

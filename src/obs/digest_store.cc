@@ -4,40 +4,36 @@
 
 namespace taurus {
 
-void DigestStore::Record(const DigestSample& sample) {
+void DigestStore::Record(const QueryEvent& event, bool error,
+                         double latency_ms) {
   if (!config_.enable || config_.capacity == 0) return;
   records_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(&mu_);
-  std::unique_ptr<Entry>& slot = map_[sample.fingerprint];
+  std::unique_ptr<Entry>& slot = map_[event.fingerprint];
   bool created = slot == nullptr;
-  if (created) {
-    slot = std::make_unique<Entry>();
-    if (sample.canonical != nullptr) slot->statement = *sample.canonical;
-  } else if (slot->statement.empty() && sample.canonical != nullptr) {
-    // The digest was first seen through a path without a canonical text
-    // (e.g. an error before fingerprinting); adopt it now.
-    slot->statement = *sample.canonical;
-  }
+  if (created) slot = std::make_unique<Entry>();
+  // A digest first seen without canonical text (an error before
+  // fingerprinting) adopts the first text that arrives.
+  if (slot->statement.empty()) slot->statement = event.canonical;
   Entry& e = *slot;
   e.last_used = ++tick_;  // stamped before eviction: never its own victim
   if (created) EvictOverCapacityLocked(config_.capacity);
   ++e.calls;
-  if (sample.error) ++e.errors;
-  if (sample.shed) ++e.shed;
-  if (sample.fell_back) ++e.fallbacks;
-  if (sample.quarantine_hit) ++e.quarantine_hits;
-  if (sample.plan_cache_hit) ++e.plan_cache_hits;
-  e.verifier_violations += sample.verifier_violations;
-  e.rows_returned += sample.rows_returned;
-  e.latency.Record(sample.latency_ms);
-  (sample.used_orca ? e.orca_latency : e.mysql_latency)
-      .Add(sample.latency_ms);
-  if (sample.used_orca) {
+  if (error) ++e.errors;
+  if (event.shed) ++e.shed;
+  if (event.fell_back) ++e.fallbacks;
+  if (event.quarantine_hit) ++e.quarantine_hits;
+  if (event.plan_cache_hit) ++e.plan_cache_hits;
+  e.verifier_violations += event.verifier_violations;
+  e.rows_returned += event.rows_returned;
+  e.latency.Record(latency_ms);
+  (event.used_orca ? e.orca_latency : e.mysql_latency).Add(latency_ms);
+  if (event.used_orca) {
     ++e.orca_calls;
   } else {
     ++e.mysql_calls;
   }
-  e.epoch_latency.Add(sample.latency_ms);
+  e.epoch_latency.Add(latency_ms);
 }
 
 bool DigestStore::BumpEpoch(uint64_t fingerprint, const char* cause) {

@@ -12,6 +12,7 @@
 #include "common/lock_rank.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/query_event.h"
 
 namespace taurus {
 
@@ -43,25 +44,6 @@ struct LatencySummary {
     if (other.max_ms > max_ms) max_ms = other.max_ms;
   }
   double mean_ms() const { return count > 0 ? sum_ms / count : 0.0; }
-};
-
-/// One finished query execution, as reported to DigestStore::Record.
-/// `canonical` is only dereferenced when the digest is first seen (the
-/// entry keeps its own copy), so the hot path never copies the statement
-/// text.
-struct DigestSample {
-  uint64_t fingerprint = 0;
-  const std::string* canonical = nullptr;
-  bool used_orca = false;
-  bool error = false;
-  bool shed = false;
-  bool fell_back = false;
-  bool quarantine_hit = false;
-  bool plan_cache_hit = false;
-  int verifier_violations = 0;
-  int64_t rows_returned = 0;
-  /// optimize + execute wall time; also split per path below.
-  double latency_ms = 0.0;
 };
 
 /// Point-in-time copy of one digest row (SHOW DIGESTS / DigestsJson).
@@ -112,8 +94,10 @@ class DigestStore {
   DigestStore& operator=(const DigestStore&) = delete;
 
   /// Folds one finished execution into its digest (creating/evicting as
-  /// needed). No-op when the store is disabled.
-  void Record(const DigestSample& sample);
+  /// needed); `latency_ms` is its end-to-end wall time. The canonical text
+  /// is copied only when the digest is first seen. No-op when the store is
+  /// disabled.
+  void Record(const QueryEvent& event, bool error, double latency_ms);
 
   /// Bumps `fingerprint`'s plan epoch: folds the current epoch's latency
   /// into the previous-epoch summary and starts a fresh one. Idempotent

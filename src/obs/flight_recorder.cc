@@ -8,11 +8,14 @@ namespace taurus {
 uint64_t FlightRecorder::Record(FlightRecord record) {
   if (!config_.enable || config_.capacity == 0) return 0;
   records_.fetch_add(1, std::memory_order_relaxed);
+  const QueryEvent& e = record.event;
+  if (!(record.error() || e.shed || e.fell_back || e.quarantine_hit)) {
+    record.event.trace.reset();
+  }
   MutexLock lock(&mu_);
   if (ring_.size() != config_.capacity) ApplyCapacityLocked();
-  record.seq = ++seq_;
-  uint64_t seq = record.seq;
-  if (!config_.pin_aborted_traces) record.pinned_trace.reset();
+  const uint64_t seq = ++seq_;
+  record.event.flight_seq = seq;
   ring_[next_] = std::move(record);  // drops the evicted slot's pin, if any
   next_ = (next_ + 1) % ring_.size();
   return seq;
@@ -24,12 +27,12 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
     MutexLock lock(&mu_);
     out.reserve(ring_.size());
     for (const FlightRecord& r : ring_) {
-      if (r.seq != 0) out.push_back(r);
+      if (r.event.flight_seq != 0) out.push_back(r);
     }
   }
   std::sort(out.begin(), out.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
+              return a.event.flight_seq < b.event.flight_seq;
             });
   return out;
 }
@@ -38,7 +41,7 @@ bool FlightRecorder::Find(uint64_t seq, FlightRecord* out) const {
   if (seq == 0) return false;
   MutexLock lock(&mu_);
   for (const FlightRecord& r : ring_) {
-    if (r.seq == seq) {
+    if (r.event.flight_seq == seq) {
       *out = r;
       return true;
     }
@@ -50,7 +53,7 @@ size_t FlightRecorder::Size() const {
   MutexLock lock(&mu_);
   size_t n = 0;
   for (const FlightRecord& r : ring_) {
-    if (r.seq != 0) ++n;
+    if (r.event.flight_seq != 0) ++n;
   }
   return n;
 }
@@ -65,7 +68,7 @@ int64_t FlightRecorder::pinned() const {
   MutexLock lock(&mu_);
   int64_t n = 0;
   for (const FlightRecord& r : ring_) {
-    if (r.seq != 0 && r.pinned_trace != nullptr) ++n;
+    if (r.event.flight_seq != 0 && r.event.trace != nullptr) ++n;
   }
   return n;
 }
@@ -74,11 +77,11 @@ void FlightRecorder::ApplyCapacityLocked() {
   std::vector<FlightRecord> kept;
   kept.reserve(ring_.size());
   for (FlightRecord& r : ring_) {
-    if (r.seq != 0) kept.push_back(std::move(r));
+    if (r.event.flight_seq != 0) kept.push_back(std::move(r));
   }
   std::sort(kept.begin(), kept.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
+              return a.event.flight_seq < b.event.flight_seq;
             });
   if (kept.size() > config_.capacity) {
     kept.erase(kept.begin(),

@@ -10,8 +10,7 @@
 #include "common/lock_rank.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "exec/exec_profile.h"
-#include "obs/trace.h"
+#include "obs/query_event.h"
 
 namespace taurus {
 
@@ -24,44 +23,25 @@ struct FlightRecorderConfig {
   /// whatever traces are pinned. 256 slots comfortably outlives the
   /// "post-mortem after 100 more queries" requirement.
   size_t capacity = 256;
-  /// Pin the full span tree of aborted / shed / quarantined / fallen-back
-  /// queries into their ring slot, so the post-mortem survives after
-  /// Database::last_trace() is overwritten by later queries.
-  bool pin_aborted_traces = true;
 };
 
 /// One query event in the ring. Copyable: Snapshot/Find hand out copies so
 /// readers never hold the recorder lock while rendering.
+/// The event id is `event.flight_seq`: monotonic and 1-based, the <n> of
+/// SHOW PROFILE FOR <n>.
 struct FlightRecord {
-  /// Monotonic 1-based event id — the <n> of SHOW PROFILE FOR <n>.
-  uint64_t seq = 0;
-  uint64_t fingerprint = 0;
-  uint64_t session_id = 0;  ///< 0 = direct Database call (no session)
   /// "ok", or the failure Status::ToString() with its structured origin
   /// payload (e.g. "[verify.skeleton/S004]").
   std::string status = "ok";
-  bool error = false;
-  /// Admission outcome: "direct", "queued", "shed" or "rejected".
-  std::string admission = "direct";
-  double admission_wait_ms = 0.0;
-  bool used_orca = false;
-  bool fell_back = false;
-  bool shed = false;
-  bool quarantine_hit = false;
-  bool plan_cache_hit = false;
-  double optimize_ms = 0.0;
-  double execute_ms = 0.0;
   /// Trace-root wall time when the query was traced (query span duration),
   /// optimize + execute otherwise.
   double total_ms = 0.0;
-  int64_t rows_returned = 0;
-  int workers = 1;
-  int64_t batches = 0;
-  /// Per-worker morsel timing (empty unless profiling was enabled).
-  ExecProfile profile;
-  /// Full span tree, pinned for aborted/shed/quarantined/fallen-back
-  /// queries when FlightRecorderConfig::pin_aborted_traces is on.
-  std::shared_ptr<const Tracer> pinned_trace;
+  /// The query's event. Record keeps `event.trace` — the full span tree —
+  /// only for aborted, shed, quarantined and fallen-back queries (pinned for
+  /// post-mortems), and drops it for the rest.
+  QueryEvent event;
+
+  bool error() const { return status != "ok"; }
 };
 
 /// Fixed-size lock-minimal ring buffer of recent query events. Record is a

@@ -40,10 +40,9 @@ Result<QueryResult> Session::Query(const std::string& sql,
     // rejection next to the queries that caused the overload.
     if (db.flight_recorder_config().enable) {
       FlightRecord rec;
-      rec.session_id = id_;
       rec.status = admitted.status().ToString();
-      rec.error = true;
-      rec.admission = "rejected";
+      rec.event.session_id = id_;
+      rec.event.rejected = true;
       db.flight_recorder().Record(std::move(rec));
     }
     return admitted.status();
@@ -59,15 +58,22 @@ Result<QueryResult> Session::Query(const std::string& sql,
   // A lease of 0 tokens means "run serial" — the cap is 1, not uncapped.
   query_options.worker_cap = ticket.worker_tokens > 0 ? ticket.worker_tokens : 1;
   query_options.trace = options_.trace;
-  query_options.trace_slot = options_.trace ? &last_trace_ : nullptr;
-  // Attribution for the digest store and flight recorder; the engine folds
-  // the admission outcome into QueryResult (shed/fell_back/fallback_reason)
-  // so the introspection surfaces and the client see one story.
-  query_options.session_id = id_;
-  query_options.shed = ticket.shed;
-  query_options.shed_cause = ticket.shed_cause;
-  query_options.admission_queued = ticket.queued;
-  query_options.admission_wait_ms = ticket.wait_ms;
+  // The query's event starts from the admission outcome, so the client,
+  // the digest store and the flight recorder all see one story.
+  QueryEvent& seed = query_options.seed;
+  seed.session_id = id_;
+  seed.shed = ticket.shed;
+  seed.admission_queued = ticket.queued;
+  seed.admission_wait_ms = ticket.wait_ms;
+  if (ticket.shed) {
+    seed.fell_back = true;
+    seed.fallback_reason =
+        Status::ResourceExhausted(
+            std::string("admission overload: shed to MySQL path (") +
+            ticket.shed_cause + ")")
+            .SetOrigin("server.admission", "shed")
+            .ToString();
+  }
 
   const OptimizerPath effective =
       ticket.shed ? OptimizerPath::kMySql : path;

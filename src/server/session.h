@@ -19,7 +19,7 @@ struct SessionOptions {
   /// Optimizer path for Query(sql) (the one-argument form).
   OptimizerPath default_path = OptimizerPath::kAuto;
   /// Per-session tracing: traces this session's queries even when the
-  /// engine-wide knob is off, retained in Session::last_trace().
+  /// engine-wide knob is off; each trace comes back on QueryResult::trace.
   bool trace = false;
   /// Desired degree of parallelism (worker-token request); 0 = the engine's
   /// executor knob (or hardware workers when that is 0 too).
@@ -31,7 +31,7 @@ struct SessionOptions {
 };
 
 /// One client session of a Server (DESIGN.md section 12): holds the
-/// per-session knobs, the session's trace slot, and outcome counters.
+/// per-session knobs and outcome counters.
 /// Every Query goes through the server's admission controller — it may
 /// run immediately, wait in the FIFO queue, be shed onto the cheap MySQL
 /// path, or be rejected with kResourceExhausted ("server.admission").
@@ -54,11 +54,6 @@ class Session {
   /// (kMySql/kOrca) are never shed; only kAuto is sheddable.
   Result<QueryResult> Query(const std::string& sql, OptimizerPath path);
 
-  /// The trace of this session's most recent traced query (null when
-  /// options().trace is off). Unlike Database::last_trace(), immune to
-  /// other sessions' queries.
-  const Tracer* last_trace() const { return last_trace_.get(); }
-
   uint64_t id() const { return id_; }
   /// Queries that ran (including shed ones); excludes rejections.
   int64_t queries() const { return queries_; }
@@ -74,7 +69,6 @@ class Session {
   Server* server_;
   const uint64_t id_;
   SessionOptions options_;
-  std::shared_ptr<Tracer> last_trace_;
   // Single-threaded by contract, so plain counters suffice.
   int64_t queries_ = 0;
   int64_t shed_ = 0;

@@ -220,7 +220,7 @@ TEST_F(EngineTest, CteProducerReuseMetric) {
       OptimizerPath::kOrca);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // The second CTE copy reused the producer skeleton.
-  EXPECT_EQ(db_.last_orca_metrics().cte_producers_reused, 1);
+  EXPECT_EQ(r->orca.cte_producers_reused, 1);
 }
 
 TEST_F(EngineTest, MdpCacheIsUsed) {
@@ -230,7 +230,7 @@ TEST_F(EngineTest, MdpCacheIsUsed) {
       OptimizerPath::kOrca);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Three references to `orders`, one DXL round trip.
-  EXPECT_GE(db_.last_orca_metrics().mdp_cache_hits, 1);
+  EXPECT_GE(r->orca.mdp_cache_hits, 1);
 }
 
 TEST_F(EngineTest, ExplainMarksOrcaPlans) {
@@ -327,11 +327,13 @@ TEST_F(EngineTest, Exhaustive2ExploresAtLeastAsMuch) {
   ASSERT_EQ(bushy, 94);
   ASSERT_EQ(linear, 42);
   db_.orca_config().strategy = JoinSearchStrategy::kExhaustive;
-  ASSERT_TRUE(db_.Query(sql, OptimizerPath::kOrca).ok());
-  EXPECT_EQ(db_.last_orca_metrics().partitions_evaluated, 318);
+  auto exhaustive = db_.Query(sql, OptimizerPath::kOrca);
+  ASSERT_TRUE(exhaustive.ok());
+  EXPECT_EQ(exhaustive->orca.partitions_evaluated, 318);
   db_.orca_config().strategy = JoinSearchStrategy::kExhaustive2;
-  ASSERT_TRUE(db_.Query(sql, OptimizerPath::kOrca).ok());
-  EXPECT_EQ(db_.last_orca_metrics().partitions_evaluated, bushy);
+  auto exhaustive2 = db_.Query(sql, OptimizerPath::kOrca);
+  ASSERT_TRUE(exhaustive2.ok());
+  EXPECT_EQ(exhaustive2->orca.partitions_evaluated, bushy);
 }
 
 // Regression: an index range with no lower bound started at the index's

@@ -52,12 +52,22 @@ class FaultInjectionTest : public ::testing::Test {
     db_->resource_budget() = ResourceBudgetConfig();
     db_->quarantine_config() = QuarantineConfig();
     db_->ClearQuarantine();
-    db_->ResetOptimizerHealth();
+    for (const char* name :
+         {"detours_attempted", "detours_failed", "fallbacks", "budget_kills",
+          "exec_budget_kills", "quarantine_hits"}) {
+      db_->metrics().GetCounter(std::string("taurus.health.") + name)->Reset();
+    }
     db_->plan_cache_config() = PlanCacheConfig();
     db_->plan_cache().Clear();
     db_->router_config() = RouterConfig();
     db_->router_config().complex_query_threshold = 1;
     db_->trace_config() = TraceConfig();
+  }
+
+  /// The registry's taurus.health.<name> fault-containment counter.
+  static int64_t Health(const char* name) {
+    return db_->metrics().GetCounter(std::string("taurus.health.") + name)
+        ->Value();
   }
 
   static std::string Q(int n) { return TpchQueries()[static_cast<size_t>(n - 1)]; }
@@ -104,13 +114,12 @@ TEST_F(FaultInjectionTest, EveryFaultPointFallsBackCleanlyOnAutoRoute) {
     EXPECT_EQ(injector.trips(c.point), 1) << "fault point never reached";
     EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
     EXPECT_EQ(res->fell_back, c.expect_fallback);
-    EXPECT_EQ(db_->last_compile_fell_back(), c.expect_fallback);
     if (c.expect_fallback) {
       EXPECT_FALSE(res->used_orca);
       EXPECT_NE(res->fallback_reason.find("injected fault"), std::string::npos)
           << res->fallback_reason;
-      EXPECT_EQ(db_->optimizer_health().detours_failed, 1);
-      EXPECT_EQ(db_->optimizer_health().fallbacks, 1);
+      EXPECT_EQ(Health("detours_failed"), 1);
+      EXPECT_EQ(Health("fallbacks"), 1);
     } else {
       // Freeze failed after a successful detour: the plan simply is not
       // cached, the query still runs on the Orca plan.
@@ -208,7 +217,7 @@ TEST_F(FaultInjectionTest, QuarantineEngagesAfterNFailuresAndClearsOnAnalyze) {
     EXPECT_TRUE(res->fell_back);
     EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
   }
-  EXPECT_EQ(db_->optimizer_health().detours_attempted, threshold);
+  EXPECT_EQ(Health("detours_attempted"), threshold);
 
   // Threshold reached: the detour is skipped without being attempted.
   auto skipped = db_->Query(sql, OptimizerPath::kAuto);
@@ -216,8 +225,8 @@ TEST_F(FaultInjectionTest, QuarantineEngagesAfterNFailuresAndClearsOnAnalyze) {
   EXPECT_TRUE(skipped->quarantine_hit);
   EXPECT_FALSE(skipped->fell_back);
   EXPECT_FALSE(skipped->used_orca);
-  EXPECT_EQ(db_->optimizer_health().detours_attempted, threshold);
-  EXPECT_EQ(db_->optimizer_health().quarantine_hits, 1);
+  EXPECT_EQ(Health("detours_attempted"), threshold);
+  EXPECT_EQ(Health("quarantine_hits"), 1);
   EXPECT_EQ(RowsText(skipped->rows), RowsText(baseline->rows));
 
   auto text = db_->Explain(sql, OptimizerPath::kAuto);
@@ -279,7 +288,7 @@ TEST_F(FaultInjectionTest, MemoGroupBudgetAbortsSearchAndFallsBack) {
   EXPECT_NE(res->fallback_reason.find("[orca.governor/max_memo_groups]"),
             std::string::npos)
       << res->fallback_reason;
-  EXPECT_EQ(db_->optimizer_health().budget_kills, 1);
+  EXPECT_EQ(Health("budget_kills"), 1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 
   auto forced = db_->Query(sql, OptimizerPath::kOrca);
@@ -301,7 +310,7 @@ TEST_F(FaultInjectionTest, PartitionPairBudgetAbortsSearchAndFallsBack) {
   EXPECT_NE(res->fallback_reason.find("[orca.governor/max_partition_pairs]"),
             std::string::npos)
       << res->fallback_reason;
-  EXPECT_EQ(db_->optimizer_health().budget_kills, 1);
+  EXPECT_EQ(Health("budget_kills"), 1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 }
 
@@ -323,7 +332,7 @@ TEST_F(FaultInjectionTest, OptimizeDeadlineWithInjectedClock) {
   EXPECT_NE(res->fallback_reason.find("[orca.governor/optimize_deadline_ms]"),
             std::string::npos)
       << res->fallback_reason;
-  EXPECT_EQ(db_->optimizer_health().budget_kills, 1);
+  EXPECT_EQ(Health("budget_kills"), 1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 
   auto forced = db_->Query(sql, OptimizerPath::kOrca);
@@ -352,7 +361,7 @@ TEST_F(FaultInjectionTest, ExecRowBudgetKillsOrcaPlanAndReRunsViaMySql) {
   EXPECT_NE(res->fallback_reason.find("[exec.budget/max_exec_rows]"),
             std::string::npos)
       << res->fallback_reason;
-  EXPECT_EQ(db_->optimizer_health().exec_budget_kills, 1);
+  EXPECT_EQ(Health("exec_budget_kills"), 1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 
   auto forced = db_->Query(sql, OptimizerPath::kOrca);
@@ -377,7 +386,7 @@ TEST_F(FaultInjectionTest, ExecDeadlineWithInjectedClock) {
   EXPECT_NE(res->fallback_reason.find("[exec.budget/exec_deadline_ms]"),
             std::string::npos)
       << res->fallback_reason;
-  EXPECT_EQ(db_->optimizer_health().exec_budget_kills, 1);
+  EXPECT_EQ(Health("exec_budget_kills"), 1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 }
 
@@ -412,7 +421,7 @@ TEST_F(FaultInjectionTest, TraceShowsAbortedDetourSpanWithStatusPayload) {
     if (!res->fell_back) continue;
     found = true;
 
-    const Tracer* trace = db_->last_trace();
+    const Tracer* trace = res->trace.get();
     ASSERT_NE(trace, nullptr);
     const TraceSpan* detour = trace->Find("orca.detour");
     ASSERT_NE(detour, nullptr);
@@ -452,7 +461,7 @@ TEST_F(FaultInjectionTest, TraceShowsQuarantineRouteDecision) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_TRUE(res->quarantine_hit);
 
-  const Tracer* trace = db_->last_trace();
+  const Tracer* trace = res->trace.get();
   ASSERT_NE(trace, nullptr);
   const TraceSpan* route = trace->Find("route");
   ASSERT_NE(route, nullptr);

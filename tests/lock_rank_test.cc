@@ -91,15 +91,15 @@ TEST_F(LockRankTest, RankInversionIsCaughtWithBothNamesAndRule) {
 }
 
 TEST_F(LockRankTest, RecursiveAcquisitionIsCaught) {
-  Mutex state(LockRank::kDatabaseState, "engine.state");
-  state.lock();
-  EXPECT_THROW(state.lock(), LockRankError);
-  state.unlock();
+  Mutex registry(LockRank::kMetricsRegistry, "obs.metrics_registry");
+  registry.lock();
+  EXPECT_THROW(registry.lock(), LockRankError);
+  registry.unlock();
 
   ASSERT_EQ(g_captured.size(), 1u);
   EXPECT_STREQ(g_captured[0].rule, "LR2");
-  EXPECT_EQ(g_captured[0].acquiring, "engine.state");
-  EXPECT_EQ(g_captured[0].holding, "engine.state");
+  EXPECT_EQ(g_captured[0].acquiring, "obs.metrics_registry");
+  EXPECT_EQ(g_captured[0].holding, "obs.metrics_registry");
   EXPECT_NE(g_captured[0].message.find(
                 "LR2: recursive acquisition of a non-recursive lock"),
             std::string::npos)
@@ -107,17 +107,17 @@ TEST_F(LockRankTest, RecursiveAcquisitionIsCaught) {
 }
 
 TEST_F(LockRankTest, LeafBandForbidsAnyNestedAcquisition) {
-  Mutex state(LockRank::kDatabaseState, "engine.state");
+  Mutex registry(LockRank::kMetricsRegistry, "obs.metrics_registry");
   // Even a higher rank may not nest under a leaf-band lock.
   Mutex injector(LockRank::kFaultInjector, "common.fault_injector");
-  state.lock();
+  registry.lock();
   EXPECT_THROW(injector.lock(), LockRankError);
-  state.unlock();
+  registry.unlock();
 
   ASSERT_EQ(g_captured.size(), 1u);
   EXPECT_STREQ(g_captured[0].rule, "LR3");
   EXPECT_EQ(g_captured[0].acquiring, "common.fault_injector");
-  EXPECT_EQ(g_captured[0].holding, "engine.state");
+  EXPECT_EQ(g_captured[0].holding, "obs.metrics_registry");
   EXPECT_NE(g_captured[0].message.find(
                 "LR3: no lock may be acquired while holding a leaf-band "
                 "lock"),

@@ -297,8 +297,8 @@ TEST_F(ObsEngineTest, OrcaPathTraceTree) {
   auto res = db_.Query(kJoinSql, OptimizerPath::kOrca);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->used_orca);
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.last_trace()->TreeString(),
+  ASSERT_NE(res->trace, nullptr);
+  EXPECT_EQ(res->trace->TreeString(),
             "query\n"
             "  compile\n"
             "    parse\n"
@@ -318,22 +318,22 @@ TEST_F(ObsEngineTest, OrcaPathTraceTree) {
             "    refine\n"
             "  execute\n");
 
-  const TraceSpan* route = db_.last_trace()->Find("route");
+  const TraceSpan* route = res->trace->Find("route");
   ASSERT_NE(route, nullptr);
   const std::string* decision = route->FindAttr("decision");
   ASSERT_NE(decision, nullptr);
   EXPECT_EQ(*decision, "orca");
-  const TraceSpan* lookup = db_.last_trace()->Find("cache.lookup");
+  const TraceSpan* lookup = res->trace->Find("cache.lookup");
   ASSERT_NE(lookup, nullptr);
   EXPECT_EQ(*lookup->FindAttr("hit"), "false");
-  const TraceSpan* fp = db_.last_trace()->Find("fingerprint");
+  const TraceSpan* fp = res->trace->Find("fingerprint");
   ASSERT_NE(fp, nullptr);
   EXPECT_NE(fp->FindAttr("fingerprint"), nullptr);
-  const TraceSpan* search = db_.last_trace()->Find("memo.join_search");
+  const TraceSpan* search = res->trace->Find("memo.join_search");
   ASSERT_NE(search, nullptr);
   EXPECT_NE(search->FindAttr("memo_groups"), nullptr);
   EXPECT_NE(search->FindAttr("partitions"), nullptr);
-  const TraceSpan* exec = db_.last_trace()->Find("execute");
+  const TraceSpan* exec = res->trace->Find("execute");
   ASSERT_NE(exec, nullptr);
   EXPECT_NE(exec->FindAttr("workers"), nullptr);
   EXPECT_NE(exec->FindAttr("pipelines"), nullptr);
@@ -343,8 +343,8 @@ TEST_F(ObsEngineTest, MySqlPathTraceTree) {
   auto res = db_.Query(kJoinSql, OptimizerPath::kMySql);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_FALSE(res->used_orca);
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.last_trace()->TreeString(),
+  ASSERT_NE(res->trace, nullptr);
+  EXPECT_EQ(res->trace->TreeString(),
             "query\n"
             "  compile\n"
             "    parse\n"
@@ -357,7 +357,7 @@ TEST_F(ObsEngineTest, MySqlPathTraceTree) {
             "    cache.freeze\n"
             "    refine\n"
             "  execute\n");
-  const TraceSpan* route = db_.last_trace()->Find("route");
+  const TraceSpan* route = res->trace->Find("route");
   ASSERT_NE(route, nullptr);
   EXPECT_EQ(*route->FindAttr("decision"), "mysql");
 }
@@ -367,8 +367,8 @@ TEST_F(ObsEngineTest, CacheHitTraceTree) {
   auto hit = db_.Query(kJoinSql, OptimizerPath::kMySql);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->plan_cache_hit);
-  ASSERT_NE(db_.last_trace(), nullptr);
-  EXPECT_EQ(db_.last_trace()->TreeString(),
+  ASSERT_NE(hit->trace, nullptr);
+  EXPECT_EQ(hit->trace->TreeString(),
             "query\n"
             "  compile\n"
             "    parse\n"
@@ -379,7 +379,7 @@ TEST_F(ObsEngineTest, CacheHitTraceTree) {
             "    cache.thaw\n"
             "    refine\n"
             "  execute\n");
-  const TraceSpan* lookup = db_.last_trace()->Find("cache.lookup");
+  const TraceSpan* lookup = hit->trace->Find("cache.lookup");
   ASSERT_NE(lookup, nullptr);
   EXPECT_EQ(*lookup->FindAttr("hit"), "true");
 }
@@ -388,7 +388,7 @@ TEST_F(ObsEngineTest, TracingDisabledLeavesNoTraceAndNoActuals) {
   db_.trace_config().enable = false;
   auto res = db_.Query(kJoinSql, OptimizerPath::kMySql);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(db_.last_trace(), nullptr);
+  EXPECT_EQ(res->trace, nullptr);
 }
 
 TEST_F(ObsEngineTest, FakeClockGivesDeterministicDurations) {
@@ -396,7 +396,7 @@ TEST_F(ObsEngineTest, FakeClockGivesDeterministicDurations) {
   // zero-length — the determinism EXPLAIN-style golden tests rely on.
   auto res = db_.Query(kJoinSql, OptimizerPath::kMySql);
   ASSERT_TRUE(res.ok());
-  for (const TraceSpan& span : db_.last_trace()->spans()) {
+  for (const TraceSpan& span : res->trace->spans()) {
     EXPECT_DOUBLE_EQ(span.duration_ms(), 0.0) << span.name;
   }
 }
@@ -428,18 +428,6 @@ TEST_F(ObsEngineTest, MetricsJsonCarriesMigratedCounters) {
   EXPECT_NE(json.find("\"taurus.health.detours_attempted\": 1"),
             std::string::npos)
       << json;
-}
-
-TEST_F(ObsEngineTest, OptimizerHealthSnapshotsRegistryCounters) {
-  ASSERT_TRUE(db_.Query(kJoinSql, OptimizerPath::kOrca).ok());
-  OptimizerHealth health = db_.optimizer_health();
-  EXPECT_EQ(health.detours_attempted, 1);
-  EXPECT_EQ(health.detours_failed, 0);
-  EXPECT_EQ(db_.metrics().GetCounter("taurus.health.detours_attempted")
-                ->Value(),
-            1);
-  db_.ResetOptimizerHealth();
-  EXPECT_EQ(db_.optimizer_health().detours_attempted, 0);
 }
 
 TEST_F(ObsEngineTest, ShowStatusReturnsFilteredSortedRows) {
@@ -512,7 +500,7 @@ TEST_F(ObsEngineTest, MetricsJsonCoversTheFullTaurusInventory) {
            "taurus.exec.parallel_pipelines", "taurus.exec.parallel_queries",
            "taurus.exec.rows_scanned",
            // executor profiling
-           "taurus.exec.profile.enabled", "taurus.exec.profile.last_busy_ms",
+           "taurus.exec.profile.last_busy_ms",
            "taurus.exec.profile.last_idle_ms",
            "taurus.exec.profile.last_workers", "taurus.exec.profile.morsels",
            "taurus.exec.profile.pipelines",
@@ -551,13 +539,12 @@ TEST(DigestStoreConcurrencyTest, ConcurrentRecordSnapshotAndBumpAreExact) {
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&store, &canonical, t] {
       for (int i = 0; i < kRecords; ++i) {
-        DigestSample s;
-        s.fingerprint = 1 + static_cast<uint64_t>(i) % kFingerprints;
-        s.canonical = &canonical;
-        s.used_orca = (i + t) % 2 == 0;
-        s.latency_ms = static_cast<double>(i % 5);
-        s.rows_returned = 1;
-        store.Record(s);
+        QueryEvent e;
+        e.fingerprint = 1 + static_cast<uint64_t>(i) % kFingerprints;
+        e.canonical = canonical;
+        e.used_orca = (i + t) % 2 == 0;
+        e.rows_returned = 1;
+        store.Record(e, /*error=*/false, static_cast<double>(i % 5));
       }
     });
   }

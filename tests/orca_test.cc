@@ -274,7 +274,7 @@ class JoinEnumerationTest : public ::testing::Test {
     auto r = db_->Query(sql, OptimizerPath::kOrca);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.ok() && r->used_orca && !r->fell_back) << sql;
-    return db_->last_orca_metrics();
+    return r.ok() ? r->orca : OrcaPathMetrics{};
   }
 
   /// Plans `sql` with EXHAUSTIVE2 and checks its rows against the MySQL
@@ -287,7 +287,7 @@ class JoinEnumerationTest : public ::testing::Test {
     auto got = db_->Query(sql, OptimizerPath::kOrca);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(got->used_orca && !got->fell_back);
-    EXPECT_EQ(db_->last_orca_metrics().partitions_evaluated, pairs);
+    EXPECT_EQ(got->orca.partitions_evaluated, pairs);
     EXPECT_EQ(SortedText(got->rows), SortedText(want->rows));
   }
 
@@ -345,10 +345,10 @@ TEST_F(JoinEnumerationTest, DenseGraphOverBudgetCompletesGreedily) {
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   db_->orca_config().exhaustive2_pair_budget = 100;
   auto got = db_->Query(sql, OptimizerPath::kOrca);
-  const OrcaPathMetrics effort = db_->last_orca_metrics();
   db_->orca_config().exhaustive2_pair_budget =
       OrcaConfig().exhaustive2_pair_budget;
   ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const OrcaPathMetrics effort = got->orca;
   EXPECT_TRUE(got->used_orca && !got->fell_back);
   // Without the budget: 3^8 - 2^9 + 1 = 6,050 pairs. Over it, every pair
   // is GreedyPlan's, which plans all 2^8 - 1 subsets of a clique (ROADMAP

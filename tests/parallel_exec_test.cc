@@ -263,7 +263,9 @@ TEST_F(ParallelBudgetTest, RowBudgetKillFallsBackToMatchingResult) {
   EXPECT_TRUE(res->fell_back);
   EXPECT_FALSE(res->used_orca);
   EXPECT_NE(res->fallback_reason.find("row budget"), std::string::npos);
-  EXPECT_EQ(db_->optimizer_health().exec_budget_kills, 1);
+  EXPECT_EQ(
+      db_->metrics().GetCounter("taurus.health.exec_budget_kills")->Value(),
+      1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 
   auto forced = db_->Query(sql, OptimizerPath::kOrca);
@@ -289,7 +291,9 @@ TEST_F(ParallelBudgetTest, DeadlineKillFallsBackToMatchingResult) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->fell_back);
   EXPECT_NE(res->fallback_reason.find("deadline"), std::string::npos);
-  EXPECT_EQ(db_->optimizer_health().exec_budget_kills, 1);
+  EXPECT_EQ(
+      db_->metrics().GetCounter("taurus.health.exec_budget_kills")->Value(),
+      1);
   EXPECT_EQ(RowsText(res->rows), RowsText(baseline->rows));
 }
 

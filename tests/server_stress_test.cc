@@ -302,7 +302,7 @@ TEST_F(ServerStressTest, MaxSessionsIsEnforced) {
   EXPECT_TRUE(s4.ok());
 }
 
-TEST_F(ServerStressTest, SessionTraceSlotsAreIndependent) {
+TEST_F(ServerStressTest, SessionQueriesCarryTheirOwnTraces) {
   Server server(db());
   server.server_config().session_deadline_ms = 0.0;
   server.server_config().shed_to_mysql = false;
@@ -314,19 +314,25 @@ TEST_F(ServerStressTest, SessionTraceSlotsAreIndependent) {
   s1.value()->options().trace = true;
   s2.value()->options().trace = true;
 
-  ASSERT_TRUE(s1.value()->Query(Queries()[0]).ok());
-  const Tracer* t1 = s1.value()->last_trace();
-  ASSERT_TRUE(s2.value()->Query(Queries()[1]).ok());
-  const Tracer* t2 = s2.value()->last_trace();
+  auto r1 = s1.value()->Query(Queries()[0]);
+  ASSERT_TRUE(r1.ok());
+  const Tracer* t1 = r1->trace.get();
+  auto r2 = s2.value()->Query(Queries()[1]);
+  ASSERT_TRUE(r2.ok());
 
-  // Each session keeps its own trace; s2's later query did not clobber
-  // s1's slot. The engine's last_trace() is the most recent one.
+  // Each query's trace travels on its own result; s2's later query did not
+  // replace the trace s1's result holds.
   ASSERT_NE(t1, nullptr);
-  ASSERT_NE(t2, nullptr);
-  EXPECT_NE(t1, t2);
-  EXPECT_EQ(s1.value()->last_trace(), t1);
-  EXPECT_EQ(db()->last_trace(), t2);
+  ASSERT_NE(r2->trace, nullptr);
+  EXPECT_NE(t1, r2->trace.get());
+  EXPECT_EQ(r1->trace.get(), t1);
   EXPECT_NE(t1->Find("query"), nullptr);
+
+  // A session without tracing gets no trace while the engine knob is off.
+  s1.value()->options().trace = false;
+  auto untraced = s1.value()->Query(Queries()[0]);
+  ASSERT_TRUE(untraced.ok());
+  EXPECT_EQ(untraced->trace, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +360,9 @@ TEST_F(ServerStressTest, ConcurrentSessionsMatchSerialBaseline) {
   // None of these workloads fails the detour, so the quarantine stays
   // empty and no compile is routed away from Orca by it.
   EXPECT_EQ(db()->quarantine_table().Size(), 0u);
-  EXPECT_EQ(db()->optimizer_health().quarantine_hits, 0);
+  EXPECT_EQ(
+      db()->metrics().GetCounter("taurus.health.quarantine_hits")->Value(),
+      0);
 }
 
 TEST_F(ServerStressTest, ConcurrentTpcdsSessionsMatchSerialBaseline) {
@@ -503,11 +511,10 @@ TEST_F(ServerStressTest, ForcedPathsAreNeverShed) {
 }
 
 // Post-mortem under concurrency: overlapping sessions abort their Orca
-// detours while other sessions keep executing, so Database::last_trace()
-// and the per-session trace slots are clobbered continuously. The flight
-// recorder must still hold every aborted detour's full span tree in its
-// pinned ring slot. Uses a private engine: poisoning the shared db()'s
-// quarantine would break the empty-quarantine assertions above.
+// detours while other sessions keep executing. The flight recorder must
+// hold every aborted detour's full span tree in its pinned ring slot,
+// attributed to a session. Uses a private engine: poisoning the shared
+// db()'s quarantine would break the empty-quarantine assertions above.
 TEST_F(ServerStressTest, AbortedDetourTracesSurviveOverlappingSessions) {
   Database db;
   ASSERT_TRUE(SetupTpch(&db, 0.001).ok());
@@ -547,19 +554,21 @@ TEST_F(ServerStressTest, AbortedDetourTracesSurviveOverlappingSessions) {
   ASSERT_EQ(failures.load(), 0);
 
   // Every aborted-detour event still carries its span tree, long after the
-  // live trace slots moved on. Quarantine engages mid-sweep (threshold
+  // sessions dropped their results. Quarantine engages mid-sweep (threshold
   // failures per statement), so later events are quarantine hits — pinned
   // too, but routed around the detour.
   std::vector<FlightRecord> events = db.flight_recorder().Snapshot();
   ASSERT_EQ(events.size(),
             static_cast<size_t>(kSessions * kQueriesPerSession));
   int aborted_detours = 0;
-  for (const FlightRecord& e : events) {
+  for (const FlightRecord& rec : events) {
+    const QueryEvent& e = rec.event;
     EXPECT_TRUE(e.fell_back || e.quarantine_hit);
     EXPECT_FALSE(e.shed) << "run slots were provisioned; no query may shed";
-    ASSERT_NE(e.pinned_trace, nullptr) << "event " << e.seq << " lost its trace";
+    ASSERT_NE(e.trace, nullptr) << "event " << e.flight_seq
+                                << " lost its trace";
     EXPECT_GE(e.session_id, 1u);
-    const std::string tree = e.pinned_trace->TreeString();
+    const std::string tree = e.trace->TreeString();
     if (e.fell_back && !e.quarantine_hit) {
       ++aborted_detours;
       EXPECT_NE(tree.find("orca.detour"), std::string::npos) << tree;
