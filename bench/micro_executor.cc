@@ -317,9 +317,11 @@ void RunBatchVsVolcano(bool want_json) {
   // grouped aggregate, a hash-join probe into the 50K-row fact table, a
   // Q14-shaped index nested-loop join (500 `d` rows each probing `f`
   // through f_k, 100 matches a probe, filtered on `f`), and the two
-  // row-buffering mechanisms: a Q18-shaped GROUP BY with 15K groups (one
-  // representative row each) and a Q13-shaped left join whose 15K-row
-  // build side has wide rows. The expression legs: Q1-shaped arithmetic
+  // row-buffering mechanisms: a Q18-shaped GROUP BY with 15K groups and a
+  // Q13-shaped left join whose 15K-row build side has wide rows. The same
+  // GROUP BY under a HAVING that keeps 4% of the groups is Q18's subquery
+  // (its threshold is lower than Q18's, because `li`'s four quantities per
+  // key sum to at most 194). The expression legs: Q1-shaped arithmetic
   // aggregates under two string group keys, and a two-item IN list next
   // to the equality filter it widens (Q12's l_shipmode IN (...)).
   const Leg legs[] = {
@@ -328,6 +330,10 @@ void RunBatchVsVolcano(bool want_json) {
        OptimizerPath::kMySql},
       {"group_by_high_card",
        "SELECT l_orderkey, SUM(l_quantity) FROM li GROUP BY l_orderkey",
+       OptimizerPath::kMySql},
+      {"group_by_having",
+       "SELECT l_orderkey FROM li GROUP BY l_orderkey "
+       "HAVING SUM(l_quantity) > 190",
        OptimizerPath::kMySql},
       {"hash_build_wide",
        "SELECT COUNT(*), SUM(w.w_price) FROM li LEFT JOIN wide_ord w "

@@ -137,11 +137,11 @@ echo "check.sh: digest overhead bench (BENCH_digest.json)"
 # result equality enforced; writes BENCH_exec_batch.json for CI trending
 # of the vectorization speedup. The google-benchmark micro legs are
 # filtered down to the sequential scan, the point lookups, the index
-# nested-loop lookups (50 and 4,000 probes per statement) and the hash
-# join (the full set is for hand-tuning).
+# nested-loop lookups (50 and 4,000 probes per statement), the hash join
+# and the hash aggregation (the full set is for hand-tuning).
 echo "check.sh: batch executor bench (BENCH_exec_batch.json)"
 (cd "$repo_root" && "$build_dir/bench/micro_executor" --json \
-  --benchmark_filter='BM_SequentialScan|BM_PointLookup|BM_IndexLookupJoin|BM_HashJoin')
+  --benchmark_filter='BM_SequentialScan|BM_PointLookup|BM_IndexLookupJoin|BM_HashJoin|BM_HashAggregation')
 
 # Compile-pipeline leg: per-stage compile times plus the Orca join search
 # on chain/star/cycle graphs of 4-12 tables (ms/iter and

@@ -388,7 +388,7 @@ std::string Database::MakeCacheKey(const std::string& canonical,
   for (bool flag :
        {orca_config_.enable_or_factoring, orca_config_.enable_bushy,
         orca_config_.enable_index_nlj, orca_config_.flip_inner_hash_build,
-        orca_config_.enable_eager_agg, orca_config_.enable_decorrelation}) {
+        orca_config_.enable_decorrelation}) {
     key += flag ? '1' : '0';
   }
   const CostParams& c = orca_config_.cost;

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -83,7 +85,7 @@ class TableScanIter : public FrameIter {
       (*frame)[slot] = &data_->row(pos_++);
       TAURUS_RETURN_IF_ERROR(ctx->ChargeScannedRow());
       TAURUS_ASSIGN_OR_RETURN(bool ok,
-                              EvalConjuncts(op_->filters, *frame, nullptr, ctx));
+                              EvalConjuncts(op_->filters, *frame, ctx));
       if (ok) return true;
     }
     (*frame)[slot] = nullptr;
@@ -114,11 +116,11 @@ class IndexRangeIter : public FrameIter {
     const Value* lo_ptr = nullptr;
     const Value* hi_ptr = nullptr;
     if (op_->range_lo != nullptr) {
-      TAURUS_ASSIGN_OR_RETURN(lo, EvalExpr(*op_->range_lo, *frame, nullptr, ctx));
+      TAURUS_ASSIGN_OR_RETURN(lo, EvalExpr(*op_->range_lo, *frame, ctx));
       lo_ptr = &lo;
     }
     if (op_->range_hi != nullptr) {
-      TAURUS_ASSIGN_OR_RETURN(hi, EvalExpr(*op_->range_hi, *frame, nullptr, ctx));
+      TAURUS_ASSIGN_OR_RETURN(hi, EvalExpr(*op_->range_hi, *frame, ctx));
       hi_ptr = &hi;
     }
     auto [b, e] = index.Range(lo_ptr, op_->lo_inclusive, hi_ptr,
@@ -136,7 +138,7 @@ class IndexRangeIter : public FrameIter {
       (*frame)[slot] = &data_->row(index.row_id(pos_++));
       TAURUS_RETURN_IF_ERROR(ctx->ChargeScannedRow());
       TAURUS_ASSIGN_OR_RETURN(bool ok,
-                              EvalConjuncts(op_->filters, *frame, nullptr, ctx));
+                              EvalConjuncts(op_->filters, *frame, ctx));
       if (ok) return true;
     }
     (*frame)[slot] = nullptr;
@@ -163,7 +165,7 @@ class IndexLookupIter : public FrameIter {
     bool has_null = false;
     for (size_t k = 0; k < key_.size(); ++k) {
       TAURUS_ASSIGN_OR_RETURN(
-          key_[k], EvalExpr(*op_->lookup_keys[k], *frame, nullptr, ctx));
+          key_[k], EvalExpr(*op_->lookup_keys[k], *frame, ctx));
       if (key_[k].is_null()) has_null = true;
     }
     ++ctx->index_lookups;
@@ -188,7 +190,7 @@ class IndexLookupIter : public FrameIter {
         (*frame)[slot] = &data_->row(index.row_id(pos_++));
         TAURUS_RETURN_IF_ERROR(ctx->ChargeScannedRow());
         TAURUS_ASSIGN_OR_RETURN(
-            bool ok, EvalConjuncts(op_->filters, *frame, nullptr, ctx));
+            bool ok, EvalConjuncts(op_->filters, *frame, ctx));
         if (ok) return true;
       }
     }
@@ -239,7 +241,7 @@ class DerivedScanIter : public FrameIter {
     while (pos_ < rows.size()) {
       (*frame)[slot] = &rows[pos_++];
       TAURUS_ASSIGN_OR_RETURN(bool ok,
-                              EvalConjuncts(op_->filters, *frame, nullptr, ctx));
+                              EvalConjuncts(op_->filters, *frame, ctx));
       if (ok) return true;
     }
     (*frame)[slot] = nullptr;
@@ -268,7 +270,7 @@ class FilterIter : public FrameIter {
       TAURUS_ASSIGN_OR_RETURN(bool has, child_->Next(frame, ctx));
       if (!has) return false;
       TAURUS_ASSIGN_OR_RETURN(bool ok,
-                              EvalConjuncts(op_->conds, *frame, nullptr, ctx));
+                              EvalConjuncts(op_->conds, *frame, ctx));
       if (ok) return true;
     }
   }
@@ -307,7 +309,7 @@ class NLJoinIter : public FrameIter {
         TAURUS_ASSIGN_OR_RETURN(bool has, right_->Next(frame, ctx));
         if (!has) break;
         TAURUS_ASSIGN_OR_RETURN(bool ok,
-                                EvalConjuncts(op_->conds, *frame, nullptr, ctx));
+                                EvalConjuncts(op_->conds, *frame, ctx));
         if (!ok) continue;
         matched_ = true;
         if (jt == JoinType::kSemi) {
@@ -413,7 +415,7 @@ Status FillHashJoinState(const PhysOp& op, const HashJoinLayout& layout,
     bool has_null = false;
     for (size_t k = 0; k < nk; ++k) {
       TAURUS_ASSIGN_OR_RETURN(
-          key[k], EvalExpr(*layout.build_keys[k], *frame, nullptr, ctx));
+          key[k], EvalExpr(*layout.build_keys[k], *frame, ctx));
       if (key[k].is_null()) has_null = true;
     }
     if (has_null) continue;  // NULL keys never join
@@ -492,7 +494,7 @@ class HashJoinIter : public FrameIter {
         bool has_null = false;
         for (size_t k = 0; k < key.size(); ++k) {
           TAURUS_ASSIGN_OR_RETURN(
-              key[k], EvalExpr(*layout_.probe_keys[k], *frame, nullptr, ctx));
+              key[k], EvalExpr(*layout_.probe_keys[k], *frame, ctx));
           if (key[k].is_null()) has_null = true;
         }
         if (!has_null) {
@@ -508,7 +510,7 @@ class HashJoinIter : public FrameIter {
           (*frame)[static_cast<size_t>(layout_.build_refs[j])] = rows[j];
         }
         TAURUS_ASSIGN_OR_RETURN(bool ok,
-                                EvalConjuncts(op_->conds, *frame, nullptr, ctx));
+                                EvalConjuncts(op_->conds, *frame, ctx));
         if (!ok) continue;
         matched_ = true;
         if (jt == JoinType::kSemi) {
@@ -654,11 +656,12 @@ namespace {
 // Aggregation
 // ---------------------------------------------------------------------------
 
-/// One aggregate accumulator (SUM/COUNT/AVG/MIN/MAX/STDDEV, with DISTINCT).
-/// Fully mergeable: two partial states over disjoint row sets combine into
-/// the state of the union (DISTINCT via set union, STDDEV via sum/sumsq),
-/// which is what lets the parallel executor aggregate per morsel. A value
-/// folds only into the fields its own function reads.
+/// One aggregate's partial state (SUM/COUNT/AVG/MIN/MAX/STDDEV). Fully
+/// mergeable: two partial states over disjoint row sets combine into the
+/// state of the union (STDDEV via sum/sumsq), which is what lets the
+/// parallel executor aggregate per morsel. A value folds only into the
+/// fields its own function reads. A DISTINCT aggregate collects its values
+/// in GroupByState's distinct sets instead and folds them when finalized.
 struct Accum {
   int64_t count = 0;
   int64_t isum = 0;    ///< SUM over integers
@@ -666,21 +669,8 @@ struct Accum {
   double sumsq = 0.0;  ///< STDDEV
   bool int_only = true;
   Value extreme;       ///< MIN / MAX
-  std::set<Value> distinct;
 
-  /// COUNT(*): every input row counts, NULL or not.
-  void CountRow() { ++count; }
-
-  /// Every other aggregate: folds one argument value; NULLs are skipped.
-  void Update(const Expr& agg, const Value& v) {
-    if (v.is_null()) return;
-    if (agg.agg_distinct) {
-      distinct.insert(v);
-      return;
-    }
-    Add(agg.agg_func, v);
-  }
-
+  /// Folds one non-NULL argument value.
   void Add(AggFunc func, const Value& v) {
     switch (func) {
       case AggFunc::kCountStar:
@@ -719,17 +709,6 @@ struct Accum {
     sumsq += o.sumsq;
     int_only = int_only && o.int_only;
     if (!o.extreme.is_null()) Add(func, o.extreme);  // MIN / MAX
-    distinct.insert(o.distinct.begin(), o.distinct.end());
-  }
-
-  Value Finalize(const Expr& agg) const {
-    if (agg.agg_distinct) {
-      // Fold the distinct set through a plain accumulator.
-      Accum folded;
-      for (const Value& v : distinct) folded.Add(agg.agg_func, v);
-      return folded.Result(agg.agg_func);
-    }
-    return Result(agg.agg_func);
   }
 
   Value Result(AggFunc func) const {
@@ -757,13 +736,6 @@ struct Accum {
   }
 };
 
-/// A finished group, ready for HAVING/ORDER BY/projection.
-struct Group {
-  Row key;
-  Row agg_values;
-  OwnedFrame rep;  ///< representative input frame
-};
-
 int CompareRows(const Row& a, const Row& b,
                 const std::vector<bool>* ascending = nullptr) {
   for (size_t i = 0; i < a.size(); ++i) {
@@ -777,17 +749,31 @@ int CompareRows(const Row& a, const Row& b,
   return 0;
 }
 
+/// Per-batch buffers of GroupByState::ConsumeBatch, sized to the batch and
+/// reused across batches: one per consuming thread.
+struct AggScratch {
+  std::vector<uint32_t> gids;      ///< group id per selected row
+  std::vector<uint64_t> hashes;    ///< key hash per selected row
+  std::vector<BatchValues> keys;   ///< one per group key
+  BatchValues values;              ///< the current aggregate's argument
+  NumericScratch numeric;          ///< typed arguments and their columns
+  Frame frame;                     ///< a new group's representative row
+};
+
 /// Hash-aggregation state: groups in first-encounter order plus their
 /// accumulators. The serial path runs one instance over all rows; the
 /// parallel path runs one per morsel and merges the partials in morsel
 /// order, which reproduces the serial group order and representative rows
 /// exactly regardless of worker scheduling.
 ///
-/// An input row that hits an existing group allocates nothing: its key is
-/// evaluated into a reused buffer (or compared in place against the batch's
-/// key vectors), found through a flat open-addressing index of group ids,
-/// and folded into one flat accumulator array, agg_exprs.size() per group.
-/// Only a new group stores its key and representative frame.
+/// A batch resolves one group id per selected row through a flat
+/// open-addressing index of group ids, then folds each aggregate column by
+/// column into one flat accumulator array (agg_exprs.size() per group),
+/// with the function chosen once per column. A numeric SUM/AVG/STDDEV
+/// argument (IsNumericKernelExpr) folds from a typed vector; others fold
+/// Values read in place. Only a new group stores its key, and its
+/// representative frame when the block's post-aggregation expressions
+/// read one (BlockPlan::group_needs_rep).
 class GroupByState {
  public:
   /// `copy_slots`: the frame slots a representative must deep-copy
@@ -795,73 +781,114 @@ class GroupByState {
   void Init(const BlockPlan* plan, std::vector<int> copy_slots) {
     plan_ = plan;
     copy_slots_ = std::move(copy_slots);
+    keep_rep_ = plan->group_needs_rep;
     ng_ = plan->group_exprs.size();
     na_ = plan->agg_exprs.size();
     key_buf_.resize(ng_);
+    distinct_index_.assign(na_, 0);
+    typed_.assign(na_, 0);
+    nd_ = 0;
+    for (size_t a = 0; a < na_; ++a) {
+      const Expr& agg = *plan->agg_exprs[a];
+      if (agg.agg_distinct) {
+        distinct_index_[a] = nd_++;
+      } else if (agg.agg_func == AggFunc::kSum ||
+                 agg.agg_func == AggFunc::kAvg ||
+                 agg.agg_func == AggFunc::kStddev) {
+        typed_[a] = IsNumericKernelExpr(*agg.children[0]) ? 1 : 0;
+      }
+    }
   }
 
   Status Consume(const Frame& f, ExecContext* ctx) {
     for (size_t g = 0; g < ng_; ++g) {
-      TAURUS_ASSIGN_OR_RETURN(
-          key_buf_[g], EvalExpr(*plan_->group_exprs[g], f, nullptr, ctx));
+      TAURUS_ASSIGN_OR_RETURN(key_buf_[g],
+                              EvalExpr(*plan_->group_exprs[g], f, ctx));
     }
     auto key_at = [this](size_t g) -> const Value& { return key_buf_[g]; };
     const uint64_t h = HashKey(key_at);
     size_t idx = Find(h, key_at);
-    if (idx == kNoGroup) idx = AddGroup(h, key_at, OwnedFrame(f, copy_slots_));
-    Accum* acc = accums_.data() + idx * na_;
+    if (idx == kNoGroup) {
+      idx = AddGroup(h, key_at);
+      if (keep_rep_) reps_.emplace_back(f, copy_slots_);
+    }
     for (size_t a = 0; a < na_; ++a) {
       const Expr& agg = *plan_->agg_exprs[a];
       if (agg.agg_func == AggFunc::kCountStar) {
-        acc[a].CountRow();
+        ++accums_[idx * na_ + a].count;
         continue;
       }
-      TAURUS_ASSIGN_OR_RETURN(arg_buf_,
-                              EvalExpr(*agg.children[0], f, nullptr, ctx));
-      acc[a].Update(agg, arg_buf_);
+      TAURUS_ASSIGN_OR_RETURN(arg_buf_, EvalExpr(*agg.children[0], f, ctx));
+      if (arg_buf_.is_null()) continue;
+      if (agg.agg_distinct) {
+        distinct_[idx * nd_ + distinct_index_[a]].insert(arg_buf_);
+      } else {
+        accums_[idx * na_ + a].Add(agg.agg_func, arg_buf_);
+      }
     }
     return Status::OK();
   }
 
-  /// Vectorized Consume: group keys and aggregate arguments are evaluated
-  /// as whole vectors over the batch (column and literal leaves read in
-  /// place, see BatchValues), then folded per selected row in selection
-  /// order — same groups, same encounter order, same representative frames
-  /// as row-at-a-time consumption.
-  Status ConsumeBatch(const Batch& b, ExecContext* ctx) {
-    gcols_.resize(ng_);
+  /// Vectorized Consume: group keys are evaluated as whole vectors over
+  /// the batch (column and literal leaves read in place, see BatchValues)
+  /// and resolved to group ids in selection order; then each aggregate's
+  /// argument is evaluated and folded over all rows — same groups, same
+  /// encounter order, same representative frames, and each accumulator
+  /// sees its values in the same order as row-at-a-time consumption.
+  Status ConsumeBatch(const Batch& b, ExecContext* ctx, AggScratch* s) {
+    const size_t n = b.sel.size();
+    if (n == 0) return Status::OK();
+    s->keys.resize(ng_);
     for (size_t g = 0; g < ng_; ++g) {
       TAURUS_RETURN_IF_ERROR(
-          EvalBatchValues(*plan_->group_exprs[g], b, ctx, &gcols_[g]));
+          EvalBatchValues(*plan_->group_exprs[g], b, ctx, &s->keys[g]));
     }
-    acols_.resize(na_);
+    // HashKey, one key column at a time.
+    s->hashes.assign(n, kHashSeed);
+    uint64_t* hashes = s->hashes.data();
+    for (size_t g = 0; g < ng_; ++g) {
+      const BatchValues& col = s->keys[g];
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(hashes[i], col[i].Hash());
+      }
+    }
+    s->gids.resize(n);
+    uint32_t* gids = s->gids.data();
+    size_t idx = kNoGroup;
+    for (size_t i = 0; i < n; ++i) {
+      auto key_at = [s, i](size_t g) -> const Value& { return s->keys[g][i]; };
+      // Rows tend to arrive clustered by key, so the previous row's group
+      // is tried before the index.
+      if (idx == kNoGroup || hashes_[idx] != hashes[i] ||
+          !KeyEquals(idx, key_at)) {
+        idx = Find(hashes[i], key_at);
+        if (idx == kNoGroup) idx = NewGroup(hashes[i], key_at, b, i, s);
+      }
+      gids[i] = static_cast<uint32_t>(idx);
+    }
+    s->numeric.NewBatch();
     for (size_t a = 0; a < na_; ++a) {
       const Expr& agg = *plan_->agg_exprs[a];
-      if (agg.agg_func == AggFunc::kCountStar) continue;
-      TAURUS_RETURN_IF_ERROR(
-          EvalBatchValues(*agg.children[0], b, ctx, &acols_[a]));
-    }
-    Frame scratch;
-    for (size_t i = 0; i < b.sel.size(); ++i) {
-      auto key_at = [this, i](size_t g) -> const Value& {
-        return gcols_[g][i];
-      };
-      const uint64_t h = HashKey(key_at);
-      size_t idx = Find(h, key_at);
-      if (idx == kNoGroup) {
-        if (scratch.empty()) scratch = *b.base;
-        b.FillFrame(b.sel[i], &scratch);
-        idx = AddGroup(h, key_at, OwnedFrame(scratch, copy_slots_));
+      if (agg.agg_func == AggFunc::kCountStar) {
+        Accum* acc = accums_.data() + a;
+        for (size_t i = 0; i < n; ++i) ++acc[gids[i] * na_].count;
+        continue;
       }
-      Accum* acc = accums_.data() + idx * na_;
-      for (size_t a = 0; a < na_; ++a) {
-        const Expr& agg = *plan_->agg_exprs[a];
-        if (agg.agg_func == AggFunc::kCountStar) {
-          acc[a].CountRow();
+      const Expr& arg = *agg.children[0];
+      const NumericVector* v =
+          typed_[a] != 0 ? EvalNumeric(arg, b, &s->numeric) : nullptr;
+      if (v != nullptr) {
+        if (v->is_int) {
+          FoldNumeric(agg.agg_func, a, v->ints.data(), v->nulls.data(), gids,
+                      n);
         } else {
-          acc[a].Update(agg, acols_[a][i]);
+          FoldNumeric(agg.agg_func, a, v->doubles.data(), v->nulls.data(),
+                      gids, n);
         }
+        continue;
       }
+      TAURUS_RETURN_IF_ERROR(EvalBatchValues(arg, b, ctx, &s->values));
+      FoldValues(agg, a, s->values, gids, n);
     }
     return Status::OK();
   }
@@ -877,15 +904,21 @@ class GroupByState {
       };
       const uint64_t h = o.hashes_[gi];
       Accum* theirs = o.accums_.data() + gi * na_;
+      std::set<Value>* their_sets = o.distinct_.data() + gi * nd_;
       size_t idx = Find(h, key_at);
       if (idx == kNoGroup) {
-        idx = AddGroup(h, key_at, std::move(o.reps_[gi]));
+        idx = AddGroup(h, key_at);
+        if (keep_rep_) reps_.push_back(std::move(o.reps_[gi]));
         std::move(theirs, theirs + na_, accums_.data() + idx * na_);
-      } else {
-        Accum* mine = accums_.data() + idx * na_;
-        for (size_t a = 0; a < na_; ++a) {
-          mine[a].Merge(plan_->agg_exprs[a]->agg_func, theirs[a]);
-        }
+        std::move(their_sets, their_sets + nd_, distinct_.data() + idx * nd_);
+        continue;
+      }
+      Accum* mine = accums_.data() + idx * na_;
+      for (size_t a = 0; a < na_; ++a) {
+        mine[a].Merge(plan_->agg_exprs[a]->agg_func, theirs[a]);
+      }
+      for (size_t d = 0; d < nd_; ++d) {
+        distinct_[idx * nd_ + d].merge(their_sets[d]);
       }
     }
   }
@@ -895,36 +928,174 @@ class GroupByState {
   /// Scalar aggregation over empty input still yields one group.
   void AddEmptyScalarGroup(const Frame& frame) {
     auto no_key = [this](size_t g) -> const Value& { return key_buf_[g]; };
-    AddGroup(HashKey(no_key), no_key, OwnedFrame(frame, copy_slots_));
+    AddGroup(HashKey(no_key), no_key);
+    if (keep_rep_) reps_.emplace_back(frame, copy_slots_);
   }
 
-  /// Finalizes each group's aggregates and hands the groups over.
-  std::vector<Group> Finalize() {
-    std::vector<Group> groups(hashes_.size());
-    for (size_t i = 0; i < groups.size(); ++i) {
-      Group& grp = groups[i];
-      auto first = keys_.begin() + static_cast<std::ptrdiff_t>(i * ng_);
-      grp.key.assign(
-          std::make_move_iterator(first),
-          std::make_move_iterator(first + static_cast<std::ptrdiff_t>(ng_)));
-      grp.agg_values.reserve(na_);
-      for (size_t a = 0; a < na_; ++a) {
-        grp.agg_values.push_back(
-            accums_[i * na_ + a].Finalize(*plan_->agg_exprs[a]));
+  /// HAVING, ORDER BY keys and projections over the finished groups, in
+  /// encounter order, then the sort. A group's output row (its keys, then
+  /// its finalized aggregates) is built in one reused Row, which the bound
+  /// post-aggregation references read from frame slot
+  /// BlockPlan::group_slot; a result row is materialized only for a group
+  /// HAVING keeps. Consumes the groups' keys.
+  Status Finish(const Frame& outer, ExecContext* ctx, bool has_order,
+                std::vector<Row>* output) {
+    const BlockPlan& plan = *plan_;
+    const size_t slot = static_cast<size_t>(plan.group_slot);
+    Row group_row(ng_ + na_);
+    Frame post;
+    auto bind_frame = [&](const Frame& base) {
+      post.assign(base.begin(), base.end());
+      if (post.size() <= slot) post.resize(slot + 1);
+      post[slot] = &group_row;
+    };
+    bind_frame(outer);
+    struct OutUnit {
+      Row sort_key;
+      Row row;
+    };
+    std::vector<OutUnit> units;
+    for (size_t i = 0; i < hashes_.size(); ++i) {
+      for (size_t g = 0; g < ng_; ++g) {
+        group_row[g] = std::move(keys_[i * ng_ + g]);
       }
-      grp.rep = std::move(reps_[i]);
+      for (size_t a = 0; a < na_; ++a) group_row[ng_ + a] = FinalValue(i, a);
+      if (keep_rep_) bind_frame(reps_[i].View());
+      if (plan.having != nullptr) {
+        TAURUS_ASSIGN_OR_RETURN(bool ok,
+                                EvalPredicate(*plan.having, post, ctx));
+        if (!ok) continue;
+      }
+      OutUnit unit;
+      if (has_order) {
+        unit.sort_key.reserve(plan.order_keys.size());
+        for (const auto& [e, asc] : plan.order_keys) {
+          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, post, ctx));
+          unit.sort_key.push_back(std::move(v));
+        }
+      }
+      unit.row.reserve(plan.projections.size());
+      for (const Expr* p : plan.projections) {
+        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, post, ctx));
+        unit.row.push_back(std::move(v));
+      }
+      if (has_order) {
+        units.push_back(std::move(unit));
+      } else {
+        output->push_back(std::move(unit.row));
+      }
     }
-    return groups;
+    if (has_order) {
+      std::vector<bool> asc;
+      for (const auto& [e, a] : plan.order_keys) asc.push_back(a);
+      std::stable_sort(units.begin(), units.end(),
+                       [&](const OutUnit& a, const OutUnit& b) {
+                         return CompareRows(a.sort_key, b.sort_key, &asc) < 0;
+                       });
+      for (OutUnit& u : units) output->push_back(std::move(u.row));
+    }
+    return Status::OK();
   }
 
  private:
   static constexpr size_t kNoGroup = SIZE_MAX;
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
+  /// Aggregate `a`'s final value in group `i`.
+  Value FinalValue(size_t i, size_t a) const {
+    const Expr& agg = *plan_->agg_exprs[a];
+    if (!agg.agg_distinct) return accums_[i * na_ + a].Result(agg.agg_func);
+    Accum folded;
+    for (const Value& v : distinct_[i * nd_ + distinct_index_[a]]) {
+      folded.Add(agg.agg_func, v);
+    }
+    return folded.Result(agg.agg_func);
+  }
+
+  /// Folds a typed SUM/AVG/STDDEV argument: the fields and the order of
+  /// operations of Accum::Add, one loop per function.
+  template <typename T>
+  void FoldNumeric(AggFunc func, size_t a, const T* vals,
+                   const uint8_t* nulls, const uint32_t* gids, size_t n) {
+    Accum* acc = accums_.data() + a;
+    auto each = [&](auto fold) {
+      for (size_t i = 0; i < n; ++i) {
+        if (nulls[i] == 0) fold(acc[gids[i] * na_], vals[i]);
+      }
+    };
+    switch (func) {
+      case AggFunc::kSum:
+        each([](Accum& s, T x) {
+          if constexpr (std::is_same_v<T, int64_t>) {
+            s.isum += x;
+          } else {
+            s.int_only = false;
+          }
+          ++s.count;
+          s.sum += static_cast<double>(x);
+        });
+        break;
+      case AggFunc::kAvg:
+        each([](Accum& s, T x) {
+          ++s.count;
+          s.sum += static_cast<double>(x);
+        });
+        break;
+      default:  // kStddev
+        each([](Accum& s, T x) {
+          ++s.count;
+          const double d = static_cast<double>(x);
+          s.sum += d;
+          s.sumsq += d * d;
+        });
+        break;
+    }
+  }
+
+  /// Folds an argument read as Values: DISTINCT into its sets, everything
+  /// else through its own loop.
+  void FoldValues(const Expr& agg, size_t a, const BatchValues& v,
+                  const uint32_t* gids, size_t n) {
+    auto each = [&](auto fold) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!v[i].is_null()) fold(gids[i], v[i]);
+      }
+    };
+    if (agg.agg_distinct) {
+      std::set<Value>* sets = distinct_.data() + distinct_index_[a];
+      each([&](size_t g, const Value& x) { sets[g * nd_].insert(x); });
+      return;
+    }
+    Accum* acc = accums_.data() + a;
+    const AggFunc func = agg.agg_func;
+    switch (func) {
+      case AggFunc::kCount:
+        each([&](size_t g, const Value&) { ++acc[g * na_].count; });
+        break;
+      case AggFunc::kMin:
+        each([&](size_t g, const Value& x) {
+          Value& e = acc[g * na_].extreme;
+          if (e.is_null() || Value::Compare(x, e) < 0) e = x;
+        });
+        break;
+      case AggFunc::kMax:
+        each([&](size_t g, const Value& x) {
+          Value& e = acc[g * na_].extreme;
+          if (e.is_null() || Value::Compare(x, e) > 0) e = x;
+        });
+        break;
+      default:
+        each([&](size_t g, const Value& x) { acc[g * na_].Add(func, x); });
+        break;
+    }
+  }
+
+  static constexpr uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
+
   /// HashRow's fold over a key read through `key_at`.
   template <typename KeyAt>
   uint64_t HashKey(const KeyAt& key_at) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    uint64_t h = kHashSeed;
     for (size_t g = 0; g < ng_; ++g) h = HashCombine(h, key_at(g).Hash());
     return h;
   }
@@ -954,8 +1125,10 @@ class GroupByState {
     return true;
   }
 
+  /// Appends a group with fresh accumulators (its representative, if
+  /// kept, is the caller's to append).
   template <typename KeyAt>
-  size_t AddGroup(uint64_t h, const KeyAt& key_at, OwnedFrame rep) {
+  size_t AddGroup(uint64_t h, const KeyAt& key_at) {
     const size_t idx = hashes_.size();
     // Keep the index at most half full, so probes stay short.
     if (2 * (idx + 1) > slots_.size()) {
@@ -964,8 +1137,22 @@ class GroupByState {
     Place(h, idx);
     hashes_.push_back(h);
     for (size_t g = 0; g < ng_; ++g) keys_.push_back(key_at(g));
-    reps_.push_back(std::move(rep));
     accums_.resize(accums_.size() + na_);
+    distinct_.resize(distinct_.size() + nd_);
+    return idx;
+  }
+
+  /// AddGroup for the i-th selected row of `b`, capturing its frame when
+  /// representatives are kept.
+  template <typename KeyAt>
+  size_t NewGroup(uint64_t h, const KeyAt& key_at, const Batch& b, size_t i,
+                  AggScratch* s) {
+    const size_t idx = AddGroup(h, key_at);
+    if (keep_rep_) {
+      s->frame.assign(b.base->begin(), b.base->end());
+      b.FillFrame(b.sel[i], &s->frame);
+      reps_.emplace_back(s->frame, copy_slots_);
+    }
     return idx;
   }
 
@@ -984,21 +1171,24 @@ class GroupByState {
 
   const BlockPlan* plan_ = nullptr;
   std::vector<int> copy_slots_;
+  bool keep_rep_ = false;
   size_t ng_ = 0;  ///< group keys
   size_t na_ = 0;  ///< aggregates
+  size_t nd_ = 0;  ///< DISTINCT aggregates
+  std::vector<size_t> distinct_index_;  ///< per aggregate: its set, if DISTINCT
+  std::vector<uint8_t> typed_;  ///< per aggregate: folds from NumericVectors
   // Per group, in encounter order.
   std::vector<uint64_t> hashes_;
   std::vector<Value> keys_;  ///< ng_ per group
-  std::vector<OwnedFrame> reps_;
+  std::vector<OwnedFrame> reps_;  ///< when keep_rep_
   std::vector<Accum> accums_;  ///< na_ per group
+  std::vector<std::set<Value>> distinct_;  ///< nd_ per group
   // The index: group ids by hash, linear probing over a power of two.
   std::vector<uint32_t> slots_;
   int shift_ = 64;
-  // Reused per-row / per-batch evaluation buffers.
+  // Reused row-at-a-time evaluation buffers.
   Row key_buf_;
   Value arg_buf_;
-  std::vector<BatchValues> gcols_;
-  std::vector<BatchValues> acols_;
 };
 
 /// A buffered pre-sort row: its ORDER BY key plus the captured frame.
@@ -1010,51 +1200,6 @@ struct SortUnit {
 // ---------------------------------------------------------------------------
 // Pipeline finish stages (shared by the serial and parallel paths)
 // ---------------------------------------------------------------------------
-
-/// HAVING, ORDER BY keys, projection and sort over finished groups.
-Status FinishAgg(const BlockPlan& plan, std::vector<Group> groups,
-                 ExecContext* ctx, bool has_order, std::vector<Row>* output) {
-  struct OutUnit {
-    Row sort_key;
-    Row row;
-  };
-  std::vector<OutUnit> units;
-  for (Group& g : groups) {
-    const Frame& rep_view = g.rep.View();
-    AggContext agg_ctx;
-    agg_ctx.agg_exprs = &plan.agg_exprs;
-    agg_ctx.agg_values = &g.agg_values;
-    agg_ctx.group_exprs = &plan.group_exprs;
-    agg_ctx.group_values = &g.key;
-    if (plan.having != nullptr) {
-      TAURUS_ASSIGN_OR_RETURN(
-          bool ok, EvalPredicate(*plan.having, rep_view, &agg_ctx, ctx));
-      if (!ok) continue;
-    }
-    OutUnit unit;
-    if (has_order) {
-      for (const auto& [e, asc] : plan.order_keys) {
-        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, rep_view, &agg_ctx, ctx));
-        unit.sort_key.push_back(std::move(v));
-      }
-    }
-    for (const Expr* p : plan.projections) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, rep_view, &agg_ctx, ctx));
-      unit.row.push_back(std::move(v));
-    }
-    units.push_back(std::move(unit));
-  }
-  if (has_order) {
-    std::vector<bool> asc;
-    for (const auto& [e, a] : plan.order_keys) asc.push_back(a);
-    std::stable_sort(units.begin(), units.end(),
-                     [&](const OutUnit& a, const OutUnit& b) {
-                       return CompareRows(a.sort_key, b.sort_key, &asc) < 0;
-                     });
-  }
-  for (OutUnit& u : units) output->push_back(std::move(u.row));
-  return Status::OK();
-}
 
 /// Sorts buffered rows by their keys and projects them.
 Status FinishSort(const BlockPlan& plan, std::vector<SortUnit> units,
@@ -1069,7 +1214,7 @@ Status FinishSort(const BlockPlan& plan, std::vector<SortUnit> units,
     const Frame& view = u.frame.View();
     Row row;
     for (const Expr* p : plan.projections) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, view, nullptr, ctx));
+      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, view, ctx));
       row.push_back(std::move(v));
     }
     output->push_back(std::move(row));
@@ -1205,7 +1350,7 @@ Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
         SortUnit u;
         for (const auto& [e, a] : plan.order_keys) {
           TAURUS_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(*e, *frame, nullptr, shard));
+                                  EvalExpr(*e, *frame, shard));
           u.sort_key.push_back(std::move(v));
         }
         u.frame = OwnedFrame(*frame, copy_slots);
@@ -1216,7 +1361,7 @@ Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
         Row row;
         for (const Expr* p : plan.projections) {
           TAURUS_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(*p, *frame, nullptr, shard));
+                                  EvalExpr(*p, *frame, shard));
           row.push_back(std::move(v));
         }
         rows->push_back(std::move(row));
@@ -1232,7 +1377,8 @@ Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
 /// groups, sort stability and plain output are bit-identical.
 Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
                       ExecContext* ctx, const std::vector<int>& copy_slots,
-                      GroupByState* agg, std::vector<SortUnit>* sort_units,
+                      GroupByState* agg, AggScratch* agg_scratch,
+                      std::vector<SortUnit>* sort_units,
                       std::vector<Row>* rows) {
   Frame scratch;
   while (true) {
@@ -1242,7 +1388,7 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
     ctx->batch_rows += static_cast<int64_t>(b->sel.size());
     switch (mode) {
       case PipeMode::kAgg:
-        TAURUS_RETURN_IF_ERROR(agg->ConsumeBatch(*b, ctx));
+        TAURUS_RETURN_IF_ERROR(agg->ConsumeBatch(*b, ctx, agg_scratch));
         break;
       case PipeMode::kSort: {
         const size_t nk = plan.order_keys.size();
@@ -1372,6 +1518,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
       }
     }
     Frame frame = outer;
+    AggScratch agg_scratch;
     WorkerProfile* profile =
         profiled ? &worker_profiles[static_cast<size_t>(w)] : nullptr;
     while (!abort.load(std::memory_order_relaxed)) {
@@ -1389,7 +1536,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
         if (st.ok()) {
           st = ConsumeBatches(
               mode, plan, bchain.root.get(), shard, copy_slots,
-              mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr,
+              mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr, &agg_scratch,
               mode == PipeMode::kSort ? &sort_parts[mi] : nullptr,
               mode == PipeMode::kPlain ? &row_parts[mi] : nullptr);
         }
@@ -1504,7 +1651,7 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
   if (plan.join_root == nullptr && plan.agg_mode == AggMode::kNone) {
     Row row;
     for (const Expr* p : plan.projections) {
-      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, frame, nullptr, ctx));
+      TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, frame, ctx));
       row.push_back(std::move(v));
     }
     output.push_back(std::move(row));
@@ -1564,9 +1711,10 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
     } else {
       state.Init(&plan, copy_slots);
       if (bchain.root != nullptr) {
+        AggScratch scratch;
         TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(),
-                                              ctx, copy_slots, &state, nullptr,
-                                              nullptr));
+                                              ctx, copy_slots, &state,
+                                              &scratch, nullptr, nullptr));
       } else if (iter != nullptr) {
         while (true) {
           TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
@@ -1578,10 +1726,9 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
       }
     }
     if (state.empty() && plan.group_exprs.empty()) {
-      state.AddEmptyScalarGroup(frame);
+      state.AddEmptyScalarGroup(outer);
     }
-    TAURUS_RETURN_IF_ERROR(
-        FinishAgg(plan, state.Finalize(), ctx, has_order, &output));
+    TAURUS_RETURN_IF_ERROR(state.Finish(outer, ctx, has_order, &output));
   } else if (mode == PipeMode::kSort) {
     // ---- Materialize, sort, project. ----
     std::vector<SortUnit> units;
@@ -1589,15 +1736,15 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
       units = std::move(par.sort_units);
     } else if (bchain.root != nullptr) {
       TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
-                                            copy_slots, nullptr, &units,
-                                            nullptr));
+                                            copy_slots, nullptr, nullptr,
+                                            &units, nullptr));
     } else {
       while (iter != nullptr) {
         TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
         if (!has) break;
         SortUnit u;
         for (const auto& [e, a] : plan.order_keys) {
-          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, frame, nullptr, ctx));
+          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, frame, ctx));
           u.sort_key.push_back(std::move(v));
         }
         u.frame = OwnedFrame(frame, copy_slots);
@@ -1612,7 +1759,7 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
     // unless DISTINCT forces one anyway). ----
     TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
                                           copy_slots, nullptr, nullptr,
-                                          &output));
+                                          nullptr, &output));
   } else {
     // ---- Streaming projection with early LIMIT exit. ----
     int64_t want = has_limit ? plan.offset + plan.limit : -1;
@@ -1625,7 +1772,7 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
       if (!has) break;
       Row row;
       for (const Expr* p : plan.projections) {
-        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, frame, nullptr, ctx));
+        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, frame, ctx));
         row.push_back(std::move(v));
       }
       output.push_back(std::move(row));

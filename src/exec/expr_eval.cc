@@ -7,7 +7,6 @@
 
 #include "common/strings.h"
 #include "exec/block_executor.h"
-#include "parser/ast_util.h"
 #include "types/datetime.h"
 
 namespace taurus {
@@ -360,26 +359,14 @@ Value ProbeInSubquery(const Value& v, SubplanResult* res, bool reusable,
 }  // namespace
 
 Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
-                       const AggContext* agg, ExecContext* ctx) {
-  // Post-aggregation matching: aggregates and group keys by structure.
-  if (agg != nullptr) {
-    if (expr.kind == Expr::Kind::kAgg) {
-      for (size_t i = 0; i < agg->agg_exprs->size(); ++i) {
-        if (ExprEquals(*(*agg->agg_exprs)[i], expr)) {
-          return (*agg->agg_values)[i];
-        }
-      }
-      return Status::Internal("aggregate not computed: " + expr.ToString());
+                       ExecContext* ctx) {
+  if (expr.group_col >= 0) {  // bound post-aggregation reference
+    const size_t slot = static_cast<size_t>(expr.group_slot);
+    if (slot >= frame.size() || frame[slot] == nullptr) {
+      return Status::Internal("group row not in scope: " + expr.ToString());
     }
-    if (agg->group_exprs != nullptr) {
-      for (size_t i = 0; i < agg->group_exprs->size(); ++i) {
-        if (ExprEquals(*(*agg->group_exprs)[i], expr)) {
-          return (*agg->group_values)[i];
-        }
-      }
-    }
+    return (*frame[slot])[static_cast<size_t>(expr.group_col)];
   }
-
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return expr.literal;
@@ -395,41 +382,41 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
     case Expr::Kind::kBinary: {
       if (expr.bop == BinaryOp::kAnd) {
         TAURUS_ASSIGN_OR_RETURN(Value l,
-                                EvalExpr(*expr.children[0], frame, agg, ctx));
+                                EvalExpr(*expr.children[0], frame, ctx));
         if (!l.is_null() && !l.IsTrue()) return Value::Bool(false);
         TAURUS_ASSIGN_OR_RETURN(Value r,
-                                EvalExpr(*expr.children[1], frame, agg, ctx));
+                                EvalExpr(*expr.children[1], frame, ctx));
         if (!r.is_null() && !r.IsTrue()) return Value::Bool(false);
         if (l.is_null() || r.is_null()) return Value::Null();
         return Value::Bool(true);
       }
       if (expr.bop == BinaryOp::kOr) {
         TAURUS_ASSIGN_OR_RETURN(Value l,
-                                EvalExpr(*expr.children[0], frame, agg, ctx));
+                                EvalExpr(*expr.children[0], frame, ctx));
         if (!l.is_null() && l.IsTrue()) return Value::Bool(true);
         TAURUS_ASSIGN_OR_RETURN(Value r,
-                                EvalExpr(*expr.children[1], frame, agg, ctx));
+                                EvalExpr(*expr.children[1], frame, ctx));
         if (!r.is_null() && r.IsTrue()) return Value::Bool(true);
         if (l.is_null() || r.is_null()) return Value::Null();
         return Value::Bool(false);
       }
       TAURUS_ASSIGN_OR_RETURN(Value l,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       TAURUS_ASSIGN_OR_RETURN(Value r,
-                              EvalExpr(*expr.children[1], frame, agg, ctx));
+                              EvalExpr(*expr.children[1], frame, ctx));
       if (IsComparisonOp(expr.bop)) return EvalComparison(expr.bop, l, r);
       return EvalArithmetic(expr.bop, l, r);
     }
     case Expr::Kind::kUnary: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       return EvalUnary(expr.uop, v);
     }
     case Expr::Kind::kFuncCall: {
       std::vector<Value> args;
       args.reserve(expr.children.size());
       for (const auto& c : expr.children) {
-        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, frame, agg, ctx));
+        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, frame, ctx));
         args.push_back(std::move(v));
       }
       return EvalFunction(expr, std::move(args));
@@ -442,24 +429,24 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
       size_t n = expr.children.size() - (expr.case_has_else ? 1 : 0);
       for (size_t i = 0; i + 1 < n; i += 2) {
         TAURUS_ASSIGN_OR_RETURN(Value cond,
-                                EvalExpr(*expr.children[i], frame, agg, ctx));
+                                EvalExpr(*expr.children[i], frame, ctx));
         if (!cond.is_null() && cond.IsTrue()) {
-          return EvalExpr(*expr.children[i + 1], frame, agg, ctx);
+          return EvalExpr(*expr.children[i + 1], frame, ctx);
         }
       }
       if (expr.case_has_else) {
-        return EvalExpr(*expr.children.back(), frame, agg, ctx);
+        return EvalExpr(*expr.children.back(), frame, ctx);
       }
       return Value::Null();
     }
     case Expr::Kind::kInList: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       if (v.is_null()) return Value::Null();
       bool saw_null = false;
       for (size_t i = 1; i < expr.children.size(); ++i) {
         TAURUS_ASSIGN_OR_RETURN(Value item,
-                                EvalExpr(*expr.children[i], frame, agg, ctx));
+                                EvalExpr(*expr.children[i], frame, ctx));
         if (item.is_null()) {
           saw_null = true;
           continue;
@@ -473,20 +460,20 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
     }
     case Expr::Kind::kBetween: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       TAURUS_ASSIGN_OR_RETURN(Value lo,
-                              EvalExpr(*expr.children[1], frame, agg, ctx));
+                              EvalExpr(*expr.children[1], frame, ctx));
       TAURUS_ASSIGN_OR_RETURN(Value hi,
-                              EvalExpr(*expr.children[2], frame, agg, ctx));
+                              EvalExpr(*expr.children[2], frame, ctx));
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
       bool in = Value::Compare(v, lo) >= 0 && Value::Compare(v, hi) <= 0;
       return Value::Bool(expr.negated ? !in : in);
     }
     case Expr::Kind::kLike: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       TAURUS_ASSIGN_OR_RETURN(Value p,
-                              EvalExpr(*expr.children[1], frame, agg, ctx));
+                              EvalExpr(*expr.children[1], frame, ctx));
       return EvalLike(v, p, expr.negated);
     }
     case Expr::Kind::kExists: {
@@ -497,7 +484,7 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
     }
     case Expr::Kind::kInSubquery: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       TAURUS_ASSIGN_OR_RETURN(SubplanResult * res,
                               RunSubplan(expr, frame, ctx));
       const bool reusable =
@@ -517,12 +504,12 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
     }
     case Expr::Kind::kCast: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       return EvalCast(v, expr.cast_type);
     }
     case Expr::Kind::kIntervalAdd: {
       TAURUS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*expr.children[0], frame, agg, ctx));
+                              EvalExpr(*expr.children[0], frame, ctx));
       return EvalIntervalAdd(expr, v);
     }
   }
@@ -530,16 +517,15 @@ Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
 }
 
 Result<bool> EvalPredicate(const Expr& expr, const Frame& frame,
-                           const AggContext* agg, ExecContext* ctx) {
-  TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, frame, agg, ctx));
+                           ExecContext* ctx) {
+  TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, frame, ctx));
   return !v.is_null() && v.IsTrue();
 }
 
 Result<bool> EvalConjuncts(const std::vector<const Expr*>& conds,
-                           const Frame& frame, const AggContext* agg,
-                           ExecContext* ctx) {
+                           const Frame& frame, ExecContext* ctx) {
   for (const Expr* cond : conds) {
-    TAURUS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*cond, frame, agg, ctx));
+    TAURUS_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*cond, frame, ctx));
     if (!ok) return false;
   }
   return true;
@@ -567,7 +553,7 @@ Result<Value> EvalConstExpr(const Expr& expr) {
     return Status::NotSupported("not a constant expression");
   }
   Frame empty;
-  return EvalExpr(expr, empty, nullptr, nullptr);
+  return EvalExpr(expr, empty, nullptr);
 }
 
 }  // namespace taurus

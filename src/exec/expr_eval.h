@@ -10,32 +10,22 @@
 
 namespace taurus {
 
-/// Post-aggregation evaluation context: expressions above a GROUP BY are
-/// matched structurally against the computed aggregates and group keys
-/// before falling back to (representative-row) frame evaluation.
-struct AggContext {
-  const std::vector<const Expr*>* agg_exprs = nullptr;
-  const Row* agg_values = nullptr;  ///< parallel to agg_exprs
-  const std::vector<const Expr*>* group_exprs = nullptr;
-  const Row* group_values = nullptr;  ///< parallel to group_exprs
-};
-
 /// Evaluates `expr` against the current frame. A column reference whose
 /// slot is unoccupied evaluates to SQL NULL (this is how NULL-extended
-/// rows of outer joins and semi-join outputs work). Expression subqueries
-/// are executed through their compiled subplans in `ctx->query`.
-Result<Value> EvalExpr(const Expr& expr, const Frame& frame,
-                       const AggContext* agg, ExecContext* ctx);
+/// rows of outer joins and semi-join outputs work). A node bound to a
+/// group's output row (Expr::group_col) reads it from its frame slot.
+/// Expression subqueries are executed through their compiled subplans in
+/// `ctx->query`.
+Result<Value> EvalExpr(const Expr& expr, const Frame& frame, ExecContext* ctx);
 
 /// Evaluates a predicate with SQL three-valued semantics reduced to a
 /// boolean: true iff the value is non-NULL and truthy.
 Result<bool> EvalPredicate(const Expr& expr, const Frame& frame,
-                           const AggContext* agg, ExecContext* ctx);
+                           ExecContext* ctx);
 
 /// Evaluates each conjunct; false as soon as one fails.
 Result<bool> EvalConjuncts(const std::vector<const Expr*>& conds,
-                           const Frame& frame, const AggContext* agg,
-                           ExecContext* ctx);
+                           const Frame& frame, ExecContext* ctx);
 
 // --- Scalar kernels -------------------------------------------------------
 // The per-value pieces of the interpreter, shared with the vectorized

@@ -120,9 +120,18 @@ struct BlockPlan {
   AggMode agg_mode = AggMode::kNone;
   std::vector<const Expr*> group_exprs;
   /// All aggregate Expr nodes appearing in SELECT/HAVING/ORDER BY, in
-  /// discovery order; post-aggregation expressions are matched against
-  /// these structurally.
+  /// discovery order, deduplicated structurally. Refinement binds every
+  /// post-aggregation reference to one of these, or to a group key, as a
+  /// column of the group's output row (Expr::group_col).
   std::vector<const Expr*> agg_exprs;
+  /// Frame slot holding a group's output row while HAVING, ORDER BY and the
+  /// projections run (one past the statement's leaves); -1 without
+  /// aggregation.
+  int group_slot = -1;
+  /// True when a post-aggregation expression reads a column of the block's
+  /// own rows that is neither grouped nor aggregated, or runs a correlated
+  /// subquery: each group then keeps a representative input frame.
+  bool group_needs_rep = false;
 
   const Expr* having = nullptr;
 

@@ -5,6 +5,7 @@
 
 #include "exec/expr_eval.h"
 #include "parser/ast_util.h"
+#include "types/datetime.h"
 
 namespace taurus {
 
@@ -40,6 +41,70 @@ Status FoldExpr(std::unique_ptr<Expr>* expr) {
   TypeId ty = e->result_type;
   *expr = MakeLiteral(std::move(folded).value());
   (*expr)->result_type = ty;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Temporal coercion of string constants
+// ---------------------------------------------------------------------------
+
+/// True when `e` is a DATE or DATETIME-family column reference; `*cat` is
+/// then its category (kDte or kDtm).
+bool IsTemporalColumn(const Expr& e, TypeCategory* cat) {
+  if (e.kind != Expr::Kind::kColumnRef || !IsTemporalType(e.result_type)) {
+    return false;
+  }
+  *cat = CategoryOf(e.result_type);
+  return *cat == TypeCategory::kDte || *cat == TypeCategory::kDtm;
+}
+
+/// Turns a string literal into the DATE or DATETIME value it spells, as
+/// INSERT coerces a string into a temporal column. A string that is not
+/// exactly a date ('YYYY-MM-DD') or, for DATETIME, a date with an optional
+/// 'hh:mm:ss' stays a string.
+void CoerceTemporalLiteral(TypeCategory cat, Expr* lit) {
+  if (lit->kind != Expr::Kind::kLiteral ||
+      lit->literal.kind() != Value::Kind::kString) {
+    return;
+  }
+  const std::string_view text = lit->literal.AsString();
+  if (cat == TypeCategory::kDte) {
+    auto days = ParseDate(text);
+    if (text.size() != 10 || !days.ok()) return;
+    lit->literal = Value::Date(*days);
+    lit->result_type = TypeId::kDate;
+    return;
+  }
+  auto secs = ParseDatetime(text);
+  if ((text.size() != 10 && text.size() != 19) || !secs.ok()) return;
+  lit->literal = Value::Datetime(*secs);
+  lit->result_type = TypeId::kDatetime;
+}
+
+/// MySQL compares a DATE or DATETIME column with a string constant by
+/// converting the constant to the column's type; otherwise the string
+/// would compare as a number ('1995-09-01' as 1995). Covers = <> < <= > >=,
+/// BETWEEN and IN lists whose tested operand is such a column.
+Status CoerceTemporalComparisons(std::unique_ptr<Expr>* slot) {
+  Expr* e = slot->get();
+  for (auto& child : e->children) {
+    TAURUS_RETURN_IF_ERROR(CoerceTemporalComparisons(&child));
+  }
+  TypeCategory cat;
+  if (e->kind == Expr::Kind::kBinary && IsComparisonOp(e->bop)) {
+    if (IsTemporalColumn(*e->children[0], &cat)) {
+      CoerceTemporalLiteral(cat, e->children[1].get());
+    }
+    if (IsTemporalColumn(*e->children[1], &cat)) {
+      CoerceTemporalLiteral(cat, e->children[0].get());
+    }
+  } else if ((e->kind == Expr::Kind::kBetween ||
+              e->kind == Expr::Kind::kInList) &&
+             IsTemporalColumn(*e->children[0], &cat)) {
+    for (size_t i = 1; i < e->children.size(); ++i) {
+      CoerceTemporalLiteral(cat, e->children[i].get());
+    }
+  }
   return Status::OK();
 }
 
@@ -382,6 +447,7 @@ Status PrepareBlock(QueryBlock* block, const PrepareOptions& opts,
       }));
 
   TAURUS_RETURN_IF_ERROR(ForEachExprSlot(block, NormalizeNot));
+  TAURUS_RETURN_IF_ERROR(ForEachExprSlot(block, CoerceTemporalComparisons));
   if (opts.fold_constants) {
     TAURUS_RETURN_IF_ERROR(ForEachExprSlot(block, FoldExpr));
   }

@@ -428,18 +428,31 @@ struct PooledConjunct {
   bool consumed = false;
 };
 
-/// Collects aggregates appearing in an expression (skipping subqueries),
-/// deduplicated structurally.
-void CollectAggs(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == Expr::Kind::kAgg) {
-    for (const Expr* a : *out) {
-      if (ExprEquals(*a, *e)) return;
+/// Binds the post-aggregation references of `e`, an aggregating block's
+/// select item, HAVING or ORDER BY key: each aggregate joins
+/// `plan->agg_exprs` (deduplicated structurally, in discovery order), and
+/// it and every subtree equal to a group key read their column of the
+/// group's output row in frame slot `slot`, keys first, then aggregates.
+/// Nested subquery blocks are refined, and bound, on their own.
+void BindPostAgg(Expr* e, const std::vector<std::unique_ptr<Expr>>& group_by,
+                 int slot, BlockPlan* plan) {
+  size_t col = 0;
+  if (e->kind == Expr::Kind::kAgg) {  // aggregates do not nest
+    while (col < plan->agg_exprs.size() &&
+           !ExprEquals(*plan->agg_exprs[col], *e)) {
+      ++col;
     }
-    out->push_back(e);
-    return;  // aggregates do not nest
+    if (col == plan->agg_exprs.size()) plan->agg_exprs.push_back(e);
+    col += group_by.size();
+  } else {
+    while (col < group_by.size() && !ExprEquals(*group_by[col], *e)) ++col;
+    if (col == group_by.size()) {
+      for (auto& c : e->children) BindPostAgg(c.get(), group_by, slot, plan);
+      return;
+    }
   }
-  if (e->subquery) return;
-  for (const auto& c : e->children) CollectAggs(c.get(), out);
+  e->group_slot = slot;
+  e->group_col = static_cast<int>(col);
 }
 
 void CollectSubqueryExprsMut(Expr* e, std::vector<Expr*>* out) {
@@ -478,6 +491,24 @@ class Refiner {
 
   Status CompileSubqueries(const BlockSkeleton& skel, QueryBlock* block,
                            BlockPlan* plan);
+
+  /// Whether a bound post-aggregation expression still reads the block's
+  /// own rows: an unbound column of one of its leaves, or a correlated
+  /// subquery.
+  bool ReadsGroupRows(const Expr& e, const RefSet& block_leaves) const {
+    if (e.group_col >= 0) return false;
+    if (e.kind == Expr::Kind::kColumnRef) {
+      return e.ref_id >= 0 && block_leaves[static_cast<size_t>(e.ref_id)];
+    }
+    if (e.subplan_id >= 0 &&
+        out_->subplans[static_cast<size_t>(e.subplan_id)]->correlated) {
+      return true;
+    }
+    for (const auto& c : e.children) {
+      if (ReadsGroupRows(*c, block_leaves)) return true;
+    }
+    return false;
+  }
 
   RefSet LeafSetOf(const SkeletonNode* node) {
     RefSet out(static_cast<size_t>(num_refs_), 0);
@@ -959,16 +990,23 @@ Result<std::unique_ptr<BlockPlan>> Refiner::RefineBlock(
     return Status::NotSupported("WHERE without FROM is not supported");
   }
 
-  // ---- Aggregation. ----
-  for (auto& item : block->select_items) {
-    CollectAggs(item.expr.get(), &plan->agg_exprs);
+  // ---- Aggregation: bind post-aggregation references once, here, so the
+  // executor never searches for them per group. ----
+  std::vector<Expr*> post_agg;
+  for (auto& item : block->select_items) post_agg.push_back(item.expr.get());
+  if (block->having) post_agg.push_back(block->having.get());
+  for (auto& o : block->order_by) post_agg.push_back(o.expr.get());
+  for (Expr* e : post_agg) {
+    BindPostAgg(e, block->group_by, num_refs_, plan.get());
   }
-  if (block->having) CollectAggs(block->having.get(), &plan->agg_exprs);
-  for (auto& o : block->order_by) CollectAggs(o.expr.get(), &plan->agg_exprs);
   bool has_agg = !plan->agg_exprs.empty() || !block->group_by.empty();
   if (has_agg) {
     plan->agg_mode = skel.stream_agg ? AggMode::kStream : AggMode::kHash;
     for (auto& g : block->group_by) plan->group_exprs.push_back(g.get());
+    plan->group_slot = num_refs_;
+    for (const Expr* e : post_agg) {
+      if (ReadsGroupRows(*e, block_leaves)) plan->group_needs_rep = true;
+    }
   }
   plan->having = block->having.get();
 

@@ -38,19 +38,11 @@ struct OrcaConfig {
   /// bug the paper found — build sides land on the wrong input.
   bool flip_inner_hash_build = true;
 
-  /// Paper Section 7 item 5: pushing GROUP BY below joins is disabled
-  /// because MySQL cannot execute such plans.
-  bool enable_eager_agg = false;  // kept for the ablation bench
-
   /// Section 4.2.3: convert correlated scalar-aggregate subqueries to
   /// grouped derived tables ("Orca might produce a non-correlated
   /// execution plan for a correlated subquery, requiring the derived
   /// table approach") — the Q17 `derived_1_2` conversion.
   bool enable_decorrelation = true;
-
-  /// Single-node mode: distribution/replication properties degenerate
-  /// (Section 7 item 7); kept as a flag for documentation symmetry.
-  bool single_node_mode = true;
 
   /// Budget on (left, right) partition pairs evaluated during DP before
   /// the search degrades to greedy completion — Orca's own enumeration

@@ -124,6 +124,14 @@ struct Expr {
   /// rewrites; -1 before planning.
   int subplan_id = -1;
 
+  /// Planning annotation, set by plan refinement on the nodes of an
+  /// aggregating block's HAVING, ORDER BY and select list that name an
+  /// aggregate or a group key: the node evaluates to column `group_col` of
+  /// the group's output row (its keys, then its aggregates), which the
+  /// executor places in frame slot `group_slot`. -1 when unbound.
+  int group_slot = -1;
+  int group_col = -1;
+
   /// Deep copy (subqueries included).
   std::unique_ptr<Expr> Clone() const;
 

@@ -39,31 +39,6 @@ int Value::CompareSlow(const Value& a, const Value& b) {
   return CompareDoubles(da, db);
 }
 
-uint64_t Value::Hash() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return 0x6e756c6cULL;
-    case Kind::kString: {
-      std::string_view s = AsString();
-      return Fnv1aHash(s.data(), s.size());
-    }
-    case Kind::kInt: {
-      // Hash via double so that Int(3) and Double(3.0) collide, consistent
-      // with Compare().
-      double d = static_cast<double>(i_);
-      if (static_cast<int64_t>(d) == i_) {
-        return Fnv1aHash(&d, sizeof(d));
-      }
-      return Fnv1aHash(&i_, sizeof(i_));
-    }
-    case Kind::kDouble: {
-      double d = d_ == 0.0 ? 0.0 : d_;  // normalize -0.0
-      return Fnv1aHash(&d, sizeof(d));
-    }
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   switch (kind_) {
     case Kind::kNull:

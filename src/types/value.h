@@ -158,9 +158,13 @@ class Value {
   /// equality (NULL == NULL), used for grouping and index keys, not SQL
   /// three-valued equality — the expression evaluator handles NULLs itself.
   /// Two strings are equal exactly when their bytes are, so that case is
-  /// decided inline too.
+  /// decided inline too: two in-place strings by their zero-padded buffers.
   bool operator==(const Value& other) const {
     if (kind_ == Kind::kString && other.kind_ == Kind::kString) {
+      if (str_len_ != kHeapString && other.str_len_ != kHeapString) {
+        return str_len_ == other.str_len_ &&
+               std::memcmp(chars_, other.chars_, kInlineChars) == 0;
+      }
       return AsString() == other.AsString();
     }
     return Compare(*this, other) == 0;
@@ -169,8 +173,34 @@ class Value {
     return Compare(*this, other) < 0;
   }
 
-  /// Hash consistent with operator== (numeric kinds hash by double value).
-  uint64_t Hash() const;
+  /// Hash consistent with operator==: a number hashes by its double value,
+  /// so Int(3) and Double(3.0) collide and -0.0 hashes as 0; a string by
+  /// its bytes (FNV-1a).
+  uint64_t Hash() const {
+    switch (kind_) {
+      case Kind::kInt: {
+        const double d = static_cast<double>(i_);
+        // An integer no double holds exactly hashes its own bits.
+        if (d >= -0x1p63 && d < 0x1p63 && static_cast<int64_t>(d) == i_) {
+          return MixBits(DoubleBits(d));
+        }
+        return MixBits(static_cast<uint64_t>(i_));
+      }
+      case Kind::kDouble:
+        return MixBits(DoubleBits(d_ == 0.0 ? 0.0 : d_));
+      case Kind::kString: {  // FNV-1a, as Fnv1aHash
+        uint64_t h = 1469598103934665603ULL;
+        for (const char c : AsString()) {
+          h ^= static_cast<unsigned char>(c);
+          h *= 1099511628211ULL;
+        }
+        return h;
+      }
+      case Kind::kNull:
+        break;
+    }
+    return 0x6e756c6cULL;
+  }
 
   /// Human-readable rendering used by EXPLAIN and result printing.
   /// Temporal types format as calendar dates/datetimes.
@@ -180,7 +210,23 @@ class Value {
   /// Compare() for strings, NULL against non-NULL, and mixed kinds.
   static int CompareSlow(const Value& a, const Value& b);
 
-  /// Strings up to this many bytes are stored in `chars_`.
+  static uint64_t DoubleBits(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+  }
+  /// The 64-bit finalizer of MurmurHash3: every input bit reaches every
+  /// output bit.
+  static uint64_t MixBits(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+  }
+
+  /// Strings up to this many bytes are stored in `chars_`, zero-padded.
   static constexpr size_t kInlineChars = 24;
   /// `str_len_` of a string stored in `heap_`.
   static constexpr uint8_t kHeapString = 0xFF;
@@ -188,6 +234,7 @@ class Value {
   /// Stores `v` as this value's string payload, which must be dead.
   void InitString(std::string_view v) {
     if (v.size() <= kInlineChars) {
+      std::memset(chars_, 0, kInlineChars);  // operator== compares all of it
       if (!v.empty()) std::memcpy(chars_, v.data(), v.size());
       str_len_ = static_cast<uint8_t>(v.size());
     } else {
@@ -218,6 +265,7 @@ class Value {
     if (o.kind_ == Kind::kString && o.str_len_ == kHeapString) {
       heap_ = o.heap_;
       str_len_ = kHeapString;
+      std::memset(o.chars_, 0, kInlineChars);
       o.str_len_ = 0;
     } else {
       CopyPayload(o);

@@ -384,7 +384,7 @@ TEST_F(SelectionEdgeTest, ColumnVsColumnOverNullExtendedRows) {
       b.sel.push_back(static_cast<uint32_t>(i));
       ++b.size;
       Frame f{l, r};
-      auto v = EvalExpr(*cmp, f, nullptr, &ctx);
+      auto v = EvalExpr(*cmp, f, &ctx);
       ASSERT_TRUE(v.ok());
       if (!v->is_null() && v->IsTrue()) {
         want.push_back(static_cast<uint32_t>(i));
@@ -612,6 +612,198 @@ TEST_F(IndexNLJoinEdgeTest, CrossJoinWithEmptyConds) {
   EXPECT_NE(plan->find("Nested loop inner join (cost"), std::string::npos)
       << *plan;
   CheckBoth(sql);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation kernel edge cases
+// ---------------------------------------------------------------------------
+
+/// The batch engine's aggregation folds numeric arguments from typed
+/// vectors, resolves group ids a batch at a time and binds HAVING, ORDER BY
+/// and select-list references to the group's output row. Each case runs
+/// the Volcano executor and the batch executor, serially and at 4 workers
+/// (64-row morsels, so the partial states' Merge runs), and requires the
+/// same rows value for value: same kinds, same doubles.
+class AggregateKernelEdgeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>();
+    ASSERT_TRUE(db_->ExecuteSql(
+                      "CREATE TABLE ak (id INT NOT NULL PRIMARY KEY, g INT, "
+                      "iv INT, dv DOUBLE, s VARCHAR(8), kd DOUBLE, a INT, "
+                      "b INT)")
+                    .ok());
+    std::vector<Row> rows;
+    for (int i = 0; i < 517; ++i) {  // eight 64-row morsels and a tail
+      const int g = i % 9;
+      // Group 7's iv is all NULL; elsewhere every fourth iv is NULL.
+      const Value iv =
+          g == 7 || i % 4 == 1 ? Value::Null() : Value::Int(i % 50 - 20);
+      const Value dv =
+          i % 4 == 0 ? Value::Null() : Value::Double(0.1 * (i % 37) - 1.3);
+      const Value s = i % 5 == 0 ? Value::Null()
+                                 : Value::Str("s" + std::to_string(i % 13));
+      // -0.0 and 0.0 alternate in kd, next to a few other keys.
+      const Value kd = Value::Double(i % 3 == 0 ? (i % 2 == 0 ? -0.0 : 0.0)
+                                                : static_cast<double>(i % 3));
+      rows.push_back({Value::Int(i), Value::Int(g), iv, dv, s, kd,
+                      Value::Int(i % 6), Value::Int(i % 4)});
+    }
+    ASSERT_TRUE(db_->BulkLoad("ak", std::move(rows)).ok());
+    ASSERT_TRUE(db_->AnalyzeAll().ok());
+  }
+
+  /// Runs `sql` in Volcano and batch mode at 1 and 4 workers and requires
+  /// identical rows; returns the serial Volcano result.
+  std::vector<Row> Check(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    std::vector<Row> serial;
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      Configure(db_.get(), workers, /*batch=*/false, 1024);
+      auto volcano = db_->Query(sql, OptimizerPath::kMySql);
+      EXPECT_TRUE(volcano.ok()) << volcano.status().ToString();
+      if (!volcano.ok()) return {};
+      for (int64_t bs : {int64_t{3}, int64_t{1024}}) {
+        SCOPED_TRACE("batch_size=" + std::to_string(bs));
+        Configure(db_.get(), workers, /*batch=*/true, bs);
+        auto batch = db_->Query(sql, OptimizerPath::kMySql);
+        EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+        if (!batch.ok()) continue;
+        EXPECT_GT(batch->batch_pipelines, 0);
+        ExpectSameRows(batch->rows, volcano->rows);
+      }
+      if (workers == 1) serial = volcano->rows;
+    }
+    Configure(db_.get(), 1, /*batch=*/true, 1024);
+    return serial;
+  }
+
+  /// Row multisets equal value for value: kind, type and value.
+  static void ExpectSameRows(std::vector<Row> got, std::vector<Row> want) {
+    SortRows(&got);
+    SortRows(&want);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_EQ(got[r].size(), want[r].size());
+      for (size_t c = 0; c < got[r].size(); ++c) {
+        const Value& x = got[r][c];
+        const Value& y = want[r][c];
+        EXPECT_EQ(x.kind(), y.kind()) << RowToString(got[r]);
+        EXPECT_EQ(x.type(), y.type()) << RowToString(got[r]);
+        if (x.kind() == Value::Kind::kDouble &&
+            y.kind() == Value::Kind::kDouble) {
+          EXPECT_EQ(x.AsDouble(), y.AsDouble()) << RowToString(got[r]);
+        } else {
+          EXPECT_EQ(Value::Compare(x, y), 0) << RowToString(got[r]);
+        }
+      }
+    }
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(AggregateKernelEdgeTest, NullArgumentsAndAnAllNullGroup) {
+  auto rows = Check(
+      "SELECT g, SUM(iv), AVG(iv), SUM(dv), AVG(dv), COUNT(iv), "
+      "STDDEV(dv) FROM ak GROUP BY g");
+  ASSERT_EQ(rows.size(), 9u);
+  for (const Row& r : rows) {
+    if (r[0].AsInt() != 7) continue;
+    EXPECT_TRUE(r[1].is_null());  // SUM over no values
+    EXPECT_TRUE(r[2].is_null());  // AVG over no values
+    EXPECT_EQ(r[5].AsInt(), 0);   // COUNT(iv)
+  }
+}
+
+TEST_F(AggregateKernelEdgeTest, SumOverAnIntColumnStaysAnInteger) {
+  auto rows = Check("SELECT g, SUM(iv), SUM(id) FROM ak GROUP BY g");
+  for (const Row& r : rows) {
+    if (!r[1].is_null()) {
+      EXPECT_EQ(r[1].kind(), Value::Kind::kInt);
+    }
+    EXPECT_EQ(r[2].kind(), Value::Kind::kInt);
+  }
+  auto total = Check("SELECT SUM(id) FROM ak");
+  ASSERT_EQ(total.size(), 1u);
+  EXPECT_EQ(total[0][0].kind(), Value::Kind::kInt);
+  EXPECT_EQ(total[0][0].AsInt(), 516 * 517 / 2);
+}
+
+TEST_F(AggregateKernelEdgeTest, IntTimesIntStaysIntAndIntTimesDoubleIsDouble) {
+  auto rows = Check(
+      "SELECT g, SUM(iv * 2), SUM(iv * 1.5), SUM(a - b + 1), "
+      "AVG(dv * (1 - a)) FROM ak GROUP BY g");
+  ASSERT_EQ(rows.size(), 9u);
+  for (const Row& r : rows) {
+    if (r[0].AsInt() == 7) continue;  // iv all NULL
+    EXPECT_EQ(r[1].kind(), Value::Kind::kInt);
+    EXPECT_EQ(r[2].kind(), Value::Kind::kDouble);
+    EXPECT_EQ(r[3].kind(), Value::Kind::kInt);
+    EXPECT_EQ(r[2].AsDouble(), 0.75 * static_cast<double>(r[1].AsInt()));
+  }
+}
+
+TEST_F(AggregateKernelEdgeTest, NegativeZeroAndIntDoubleKeysShareAGroup) {
+  auto zeros = Check("SELECT kd, COUNT(*) FROM ak GROUP BY kd");
+  ASSERT_EQ(zeros.size(), 3u);  // 0 (with -0.0), 1 and 2
+  for (const Row& r : zeros) {
+    if (r[0].AsDouble() == 0.0) {
+      EXPECT_EQ(r[1].AsInt(), 173);  // i % 3 == 0
+    }
+  }
+  auto mixed = Check(
+      "SELECT COUNT(*) FROM ak GROUP BY "
+      "CASE WHEN id % 2 = 0 THEN 3 ELSE 3.0 END");
+  ASSERT_EQ(mixed.size(), 1u);
+  EXPECT_EQ(mixed[0][0].AsInt(), 517);
+}
+
+TEST_F(AggregateKernelEdgeTest, CountDistinctAndStringMinMax) {
+  auto rows = Check(
+      "SELECT g, COUNT(DISTINCT s), MIN(s), MAX(s), COUNT(DISTINCT iv), "
+      "SUM(DISTINCT dv) FROM ak GROUP BY g");
+  ASSERT_EQ(rows.size(), 9u);
+  for (const Row& r : rows) {
+    EXPECT_EQ(r[2].kind(), Value::Kind::kString);
+    EXPECT_LE(Value::Compare(r[2], r[3]), 0);
+  }
+}
+
+TEST_F(AggregateKernelEdgeTest, HavingOnAnAggregateOutsideTheSelectList) {
+  auto rows = Check(
+      "SELECT g FROM ak GROUP BY g HAVING SUM(dv) > 20 ORDER BY MAX(id)");
+  EXPECT_EQ(rows.size(), 5u);  // groups 2, 3, 6, 7 and 8
+}
+
+TEST_F(AggregateKernelEdgeTest, GroupByAnExpressionWithHavingOnIt) {
+  auto rows = Check(
+      "SELECT a + b, COUNT(*), SUM(iv) FROM ak GROUP BY a + b "
+      "HAVING a + b > 3 ORDER BY a + b");
+  ASSERT_EQ(rows.size(), 3u);  // a + b is 4, 6 or 8 above 3
+  EXPECT_EQ(rows[0][0].AsInt(), 4);
+}
+
+TEST_F(AggregateKernelEdgeTest, LooseGroupByColumnReadsTheRepresentativeRow) {
+  // `s` is neither grouped nor aggregated: each group reports its first
+  // row's value, so the group keeps a representative row.
+  auto rows = Check("SELECT g, id, s, COUNT(*) FROM ak GROUP BY g");
+  ASSERT_EQ(rows.size(), 9u);
+  for (const Row& r : rows) EXPECT_EQ(r[1].AsInt(), r[0].AsInt());
+}
+
+TEST_F(AggregateKernelEdgeTest, HavingWithAScalarSubquery) {
+  auto rows = Check(
+      "SELECT g, SUM(iv) FROM ak GROUP BY g "
+      "HAVING SUM(iv) > (SELECT AVG(iv) * 40 FROM ak)");
+  EXPECT_EQ(rows.size(), 5u);  // groups 1, 2, 3, 4 and 6
+  // Correlated: the subquery reads the group's representative row.
+  auto correlated = Check(
+      "SELECT g, COUNT(*) FROM ak o GROUP BY g "
+      "HAVING COUNT(*) >= (SELECT COUNT(*) FROM ak i WHERE i.g = o.g "
+      "AND i.iv IS NOT NULL)");
+  EXPECT_EQ(correlated.size(), 9u);
 }
 
 }  // namespace

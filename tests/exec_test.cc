@@ -28,8 +28,7 @@ class ExprEvalTest : public ::testing::Test {
     auto bound = BindStatement(catalog_, std::move(*q));
     EXPECT_TRUE(bound.ok()) << bound.status().ToString();
     Frame frame;
-    auto v = EvalExpr(*(*bound).block->select_items[0].expr, frame, nullptr,
-                      nullptr);
+    auto v = EvalExpr(*(*bound).block->select_items[0].expr, frame, nullptr);
     EXPECT_TRUE(v.ok()) << v.status().ToString();
     return v.ok() ? *v : Value::Null();
   }
